@@ -12,6 +12,7 @@ from .stages import (
     BORDER_WEIGHTS,
     UPSCALE_P,
     downscale,
+    neighborhood_minmax,
     overshoot_control,
     perror,
     preliminary_sharpen,
@@ -30,6 +31,7 @@ __all__ = [
     "BORDER_WEIGHTS",
     "UPSCALE_P",
     "downscale",
+    "neighborhood_minmax",
     "overshoot_control",
     "perror",
     "preliminary_sharpen",

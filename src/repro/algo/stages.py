@@ -4,13 +4,18 @@ The geometry and interpretation decisions are documented in DESIGN.md
 section 3; the docstrings below restate the exact contracts that all other
 implementations (scalar golden reference, simulated-GPU kernels) must honour.
 
-All functions take and return ``float64`` arrays; none of them mutates its
-inputs.
+These are the only implementations of the stages: the CPU baseline, the
+functional face of every simulated-GPU kernel and the cached
+:meth:`~repro.core.plan.ExecutionPlan.execute` all call them.  All
+functions take and return ``float64`` arrays and none of them mutates its
+inputs.  Each writes into the ``out=`` and scratch arrays it is given and
+allocates the ones that are omitted.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import numpy.typing as npt
 
 from ..errors import ValidationError
 from ..types import FLOAT, SCALE, SharpnessParams, validate_plane
@@ -55,6 +60,18 @@ SOBEL_GY = np.array(
 )
 
 
+#: ``x ** 0.5`` and ``sqrt(x)`` agree bitwise on the IEEE-754 platforms
+#: numpy targets; probe once so :func:`strength_map` only takes the sqrt
+#: shortcut when the platform actually honours the identity.
+_POW_PROBE = np.concatenate([
+    np.array([0.0, 1.0, 2.0, 0.5, 255.0, 1e-300, 1e300], dtype=FLOAT),
+    np.geomspace(1e-12, 1e12, 97, dtype=FLOAT),
+])
+POW_HALF_IS_SQRT = bool(
+    np.array_equal(np.power(_POW_PROBE, FLOAT(0.5)), np.sqrt(_POW_PROBE))
+)
+
+
 def _check_plane(src: np.ndarray, name: str = "src") -> np.ndarray:
     arr = np.asarray(src, dtype=FLOAT)
     if arr.ndim != 2:
@@ -67,21 +84,37 @@ def _check_plane(src: np.ndarray, name: str = "src") -> np.ndarray:
     return arr
 
 
+def _buffer(arr: np.ndarray | None, shape: tuple[int, ...],
+            dtype: npt.DTypeLike = FLOAT) -> np.ndarray:
+    """``arr`` (caller-provided scratch/output) or a fresh empty array."""
+    return np.empty(shape, dtype=dtype) if arr is None else arr
+
+
 # ---------------------------------------------------------------------------
 # Stage 1: downscale
 # ---------------------------------------------------------------------------
 
 
-def downscale(src: np.ndarray) -> np.ndarray:
+def downscale(src: np.ndarray, *, out: np.ndarray | None = None,
+              colsum: np.ndarray | None = None) -> np.ndarray:
     """Mean-pool the plane with non-overlapping 4x4 blocks (Fig. 2).
 
     ``out[i, j] = mean(src[4i:4i+4, 4j:4j+4])``; output shape is
-    ``(H/4, W/4)``.
+    ``(H/4, W/4)``.  Each block is summed across its columns first, then
+    down its rows, each as ``((a0 + a1) + a2) + a3``; ``colsum`` is the
+    ``(H, W/4)`` scratch of the column sums.
     """
     arr = _check_plane(src)
     h, w = arr.shape
-    blocks = arr.reshape(h // SCALE, SCALE, w // SCALE, SCALE)
-    return blocks.sum(axis=(1, 3)) / FLOAT(SCALE * SCALE)
+    colsum = _buffer(colsum, (h, w // SCALE))
+    np.add(arr[:, 0::SCALE], arr[:, 1::SCALE], out=colsum)
+    for k in range(2, SCALE):
+        np.add(colsum, arr[:, k::SCALE], out=colsum)
+    out = _buffer(out, (h // SCALE, w // SCALE))
+    np.add(colsum[0::SCALE], colsum[1::SCALE], out=out)
+    for k in range(2, SCALE):
+        np.add(out, colsum[k::SCALE], out=out)
+    return np.divide(out, FLOAT(SCALE * SCALE), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +149,34 @@ def upscale_border_line(line: np.ndarray, out_len: int) -> np.ndarray:
     return out
 
 
-def _interp_body_axis0(d: np.ndarray) -> np.ndarray:
-    """Interpolate along axis 0: (n, m) -> (4*(n-1), m) using UPSCALE_P."""
-    n, m = d.shape
-    a = d[:-1]
-    b = d[1:]
-    out = np.empty((SCALE * (n - 1), m), dtype=FLOAT)
-    for k in range(SCALE):
-        wl, wr = UPSCALE_P[k]
-        out[k::SCALE] = wl * a + wr * b
-    return out
-
-
-def upscale_body(down: np.ndarray) -> np.ndarray:
+def upscale_body(down: np.ndarray, *, out: np.ndarray | None = None,
+                 rows: np.ndarray | None = None) -> np.ndarray:
     """Upscale the body region (Fig. 4/5).
 
     Every 2x2 block of ``down`` (stride 1) produces the 4x4 block
     ``P @ D2x2 @ P.T`` of the output (stride 4).  The returned array has
     shape ``(H - 4, W - 4)`` and belongs at ``up[2:H-2, 2:W-2]``.
 
-    The computation is separable: interpolate rows first, then columns,
-    which is algebraically identical to the ``P @ D @ P.T`` form.
+    The computation is separable: rows are interpolated first (into the
+    ``(H - 4, W/4)`` scratch ``rows``), then columns, so element
+    ``[i, 4q + k]`` is ``wl * rows[i, q] + wr * rows[i, q + 1]`` with
+    ``(wl, wr) = UPSCALE_P[k]`` — algebraically the ``P @ D @ P.T`` form.
     """
     d = np.asarray(down, dtype=FLOAT)
     if d.ndim != 2 or d.shape[0] < 2 or d.shape[1] < 2:
         raise ValidationError(
             f"downscaled matrix must be 2-D with sides >= 2, got {d.shape}"
         )
-    rows = _interp_body_axis0(d)
-    return _interp_body_axis0(rows.T).T
+    n, m = d.shape
+    rows = _buffer(rows, (SCALE * (n - 1), m))
+    for k in range(SCALE):
+        wl, wr = UPSCALE_P[k]
+        np.add(wl * d[:-1], wr * d[1:], out=rows[k::SCALE])
+    out = _buffer(out, (SCALE * (n - 1), SCALE * (m - 1)))
+    for k in range(SCALE):
+        wl, wr = UPSCALE_P[k]
+        np.add(wl * rows[:, :-1], wr * rows[:, 1:], out=out[:, k::SCALE])
+    return out
 
 
 def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
@@ -190,13 +222,14 @@ def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
     up[h - 2 :, w - 2 :] = up[h - 3, w - 1]
 
 
-def upscale(down: np.ndarray) -> np.ndarray:
+def upscale(down: np.ndarray, *, out: np.ndarray | None = None,
+            rows: np.ndarray | None = None) -> np.ndarray:
     """Full upscale: body (``up[2:H-2, 2:W-2]``) plus the Fig. 3 border."""
     d = np.asarray(down, dtype=FLOAT)
     nr, nc = d.shape
     h, w = SCALE * nr, SCALE * nc
-    up = np.empty((h, w), dtype=FLOAT)
-    up[2 : h - 2, 2 : w - 2] = upscale_body(d)
+    up = _buffer(out, (h, w))
+    upscale_body(d, out=up[2 : h - 2, 2 : w - 2], rows=rows)
     upscale_border_apply(up, d)
     return up
 
@@ -206,7 +239,8 @@ def upscale(down: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def perror(src: np.ndarray, upscaled: np.ndarray) -> np.ndarray:
+def perror(src: np.ndarray, upscaled: np.ndarray, *,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Difference matrix ``pError = original - upscaled``."""
     a = np.asarray(src, dtype=FLOAT)
     b = np.asarray(upscaled, dtype=FLOAT)
@@ -214,7 +248,7 @@ def perror(src: np.ndarray, upscaled: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"shape mismatch: original {a.shape} vs upscaled {b.shape}"
         )
-    return a - b
+    return np.subtract(a, b, out=_buffer(out, a.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +256,38 @@ def perror(src: np.ndarray, upscaled: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sobel(src: np.ndarray) -> np.ndarray:
-    """Sobel edge magnitude ``|Gx| + |Gy|`` with a zero border (Fig. 6/7)."""
+def sobel(src: np.ndarray, *, out: np.ndarray | None = None,
+          tcol: np.ndarray | None = None, urow: np.ndarray | None = None,
+          gy: np.ndarray | None = None) -> np.ndarray:
+    """Sobel edge magnitude ``|Gx| + |Gy|`` with a zero border (Fig. 6/7).
+
+    Separable: ``tcol`` (``(H-2, W)``) holds the vertical ``n + 2c + s``
+    sums and ``urow`` (``(H, W-2)``) the horizontal ``w + 2c + e`` sums, so
+    ``Gx = (ne + 2e + se) - (nw + 2w + sw)`` keeps the association order of
+    the 3x3 masks; ``gy`` is the ``(H-2, W-2)`` scratch of ``Gy``.  The
+    one-pixel border ring of ``out`` is written as zero on every call.
+    """
     arr = _check_plane(src)
     h, w = arr.shape
-    out = np.zeros((h, w), dtype=FLOAT)
-    # 3x3 neighbourhood views over the body region.
-    c = arr[1 : h - 1, 1 : w - 1]  # noqa: F841  (kept for symmetry/clarity)
-    nw = arr[0 : h - 2, 0 : w - 2]
-    n = arr[0 : h - 2, 1 : w - 1]
-    ne = arr[0 : h - 2, 2:w]
-    wv = arr[1 : h - 1, 0 : w - 2]
-    ev = arr[1 : h - 1, 2:w]
-    sw = arr[2:h, 0 : w - 2]
-    s = arr[2:h, 1 : w - 1]
-    se = arr[2:h, 2:w]
-    gx = (ne + 2.0 * ev + se) - (nw + 2.0 * wv + sw)
-    gy = (sw + 2.0 * s + se) - (nw + 2.0 * n + ne)
-    out[1 : h - 1, 1 : w - 1] = np.abs(gx) + np.abs(gy)
+    out = _buffer(out, (h, w))
+    body = out[1 : h - 1, 1 : w - 1]
+    tcol = _buffer(tcol, (h - 2, w))
+    np.multiply(arr[1 : h - 1], 2.0, out=tcol)
+    np.add(arr[0 : h - 2], tcol, out=tcol)
+    np.add(tcol, arr[2:h], out=tcol)
+    np.subtract(tcol[:, 2:], tcol[:, :-2], out=body)
+    urow = _buffer(urow, (h, w - 2))
+    np.multiply(arr[:, 1 : w - 1], 2.0, out=urow)
+    np.add(arr[:, 0 : w - 2], urow, out=urow)
+    np.add(urow, arr[:, 2:w], out=urow)
+    gy = np.subtract(urow[2:], urow[:-2], out=_buffer(gy, (h - 2, w - 2)))
+    np.abs(body, out=body)
+    np.abs(gy, out=gy)
+    np.add(body, gy, out=body)
+    out[0] = 0.0
+    out[h - 1] = 0.0
+    out[:, 0] = 0.0
+    out[:, w - 1] = 0.0
     return out
 
 
@@ -267,25 +315,34 @@ def reduce_mean(values: np.ndarray) -> float:
 
 
 def strength_map(
-    p_edge: np.ndarray, edge_mean: float, params: SharpnessParams
+    p_edge: np.ndarray, edge_mean: float, params: SharpnessParams, *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-pixel brightness-strength factor (DESIGN.md section 3).
 
     ``strength = clamp(gain * (pEdge / mean)**gamma, 0, strength_max)``.
     A non-positive mean (flat image) yields an all-zero map: no edges, no
     sharpening.  This is the exponentiation-heavy step the paper calls the
-    "calculation of the strength matrix".
+    "calculation of the strength matrix"; ``gamma == 0.5`` takes the
+    bit-identical ``sqrt`` (see :data:`POW_HALF_IS_SQRT`).
     """
     edge = np.asarray(p_edge, dtype=FLOAT)
+    out = _buffer(out, edge.shape)
     if edge_mean <= 0.0:
-        return np.zeros_like(edge)
-    norm = edge / FLOAT(edge_mean)
-    return np.clip(params.gain * norm**FLOAT(params.gamma), 0.0,
-                   params.strength_max)
+        out[...] = 0.0
+        return out
+    np.divide(edge, FLOAT(edge_mean), out=out)
+    if params.gamma == 0.5 and POW_HALF_IS_SQRT:
+        np.sqrt(out, out=out)
+    else:
+        np.power(out, FLOAT(params.gamma), out=out)
+    np.multiply(out, FLOAT(params.gain), out=out)
+    return np.clip(out, 0.0, params.strength_max, out=out)
 
 
 def preliminary_sharpen(
-    upscaled: np.ndarray, p_error: np.ndarray, strength: np.ndarray
+    upscaled: np.ndarray, p_error: np.ndarray, strength: np.ndarray, *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Preliminary sharpened matrix: ``upscaled + strength * pError``."""
     u = np.asarray(upscaled, dtype=FLOAT)
@@ -296,7 +353,8 @@ def preliminary_sharpen(
             f"shape mismatch: upscaled {u.shape}, pError {e.shape}, "
             f"strength {s.shape}"
         )
-    return u + s * e
+    out = np.multiply(s, e, out=_buffer(out, u.shape))
+    return np.add(u, out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -304,32 +362,49 @@ def preliminary_sharpen(
 # ---------------------------------------------------------------------------
 
 
-def _neighborhood_minmax(src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 min and max over the body region (shape ``(H-2, W-2)`` each)."""
-    h, w = src.shape
-    views = [
-        src[di : h - 2 + di, dj : w - 2 + dj]
-        for di in range(3)
-        for dj in range(3)
-    ]
-    mn = views[0].copy()
-    mx = views[0].copy()
-    for v in views[1:]:
-        np.minimum(mn, v, out=mn)
-        np.maximum(mx, v, out=mx)
+def neighborhood_minmax(
+    src: np.ndarray, *, out: tuple[np.ndarray, np.ndarray] | None = None,
+    cols: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 min and max over the body region (shape ``(H-2, W-2)`` each).
+
+    Separable: the 1x3 row extremum goes into the ``(H, W-2)`` scratch
+    ``cols`` (reused for the min, then the max), then the 3x1 column
+    extremum into ``out = (mn, mx)``.
+    """
+    arr = np.asarray(src, dtype=FLOAT)
+    h, w = arr.shape
+    cols = _buffer(cols, (h, w - 2))
+    mn, mx = out if out is not None else (
+        np.empty((h - 2, w - 2), dtype=FLOAT),
+        np.empty((h - 2, w - 2), dtype=FLOAT),
+    )
+    for op, dst in ((np.minimum, mn), (np.maximum, mx)):
+        op(arr[:, 0 : w - 2], arr[:, 1 : w - 1], out=cols)
+        op(cols, arr[:, 2:w], out=cols)
+        op(cols[0 : h - 2], cols[1 : h - 1], out=dst)
+        op(dst, cols[2:h], out=dst)
     return mn, mx
 
 
 def overshoot_control(
-    preliminary: np.ndarray, src: np.ndarray, params: SharpnessParams
+    preliminary: np.ndarray, src: np.ndarray, params: SharpnessParams, *,
+    out: np.ndarray | None = None,
+    bounds: tuple[np.ndarray, np.ndarray] | None = None,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Overshoot control (Fig. 8) producing the final sharpened plane.
 
     Body pixels are compared against the 3x3 min/max of the *original*
-    image; overshoots are blended back with the ``overshoot`` tuning factor
-    and the result clamped to [0, 255].  Border rows/columns are copied from
+    image (``bounds``, from :func:`neighborhood_minmax` when omitted);
+    overshoots are blended back with the ``overshoot`` tuning factor and
+    the result clamped to [0, 255].  Border rows/columns are copied from
     the preliminary matrix (and clamped so the output is a valid image —
     interpretation documented in DESIGN.md).
+
+    The blend is sparse: ``mask`` (``(H-2, W-2)`` bool scratch) marks the
+    pixels above the max, then those below the min, and only those are
+    gathered, blended and scattered through flat indices.
     """
     p = np.asarray(preliminary, dtype=FLOAT)
     o = np.asarray(src, dtype=FLOAT)
@@ -338,19 +413,25 @@ def overshoot_control(
             f"shape mismatch: preliminary {p.shape} vs original {o.shape}"
         )
     h, w = p.shape
-    osc = FLOAT(params.overshoot)
-    final = np.clip(p, 0.0, 255.0)
-
-    mn, mx = _neighborhood_minmax(o)
+    mn, mx = bounds if bounds is not None else neighborhood_minmax(o)
+    final = np.clip(p, 0.0, 255.0, out=_buffer(out, (h, w)))
     body = p[1 : h - 1, 1 : w - 1]
-    over = body > mx
-    under = body < mn
-    osc_max = np.minimum(mx + osc * (body - mx), 255.0)
-    osc_min = np.maximum(mn - osc * (mn - body), 0.0)
-    result = np.clip(body, 0.0, 255.0)
-    result = np.where(over, osc_max, result)
-    result = np.where(under, osc_min, result)
-    final[1 : h - 1, 1 : w - 1] = result
+    mask = _buffer(mask, (h - 2, w - 2), dtype=bool)
+    osc = FLOAT(params.overshoot)
+    for above, bound in ((True, mx), (False, mn)):
+        (np.greater if above else np.less)(body, bound, out=mask)
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            continue
+        # body index (r, c) -> plane index (r + 1, c + 1), flattened
+        flat = idx + 2 * (idx // (w - 2)) + w + 1
+        bv = np.take(p, flat)
+        lv = np.take(bound, idx)
+        if above:
+            vals = np.minimum(lv + osc * (bv - lv), 255.0)
+        else:
+            vals = np.maximum(lv - osc * (lv - bv), 0.0)
+        np.put(final, flat, vals)
     return final
 
 

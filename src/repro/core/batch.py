@@ -242,7 +242,7 @@ class BatchEngine:
         self.resilience = self._effective_resilience(resilience)
         self.plan_cache = PlanCache()
         self._worker_obs = _worker_view(self.obs)
-        self.buffer_pool = BufferPool(max_entries=workers + 1, device=device,
+        self.buffer_pool = BufferPool(max_entries=workers + 1,
                                       obs=self._worker_obs)
         self._breaker = None
         self._budget = None

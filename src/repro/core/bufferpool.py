@@ -1,14 +1,13 @@
-"""Buffer pool: reusable device buffers + host scratch for cached runs.
+"""Buffer pool: reusable per-shape scratch for cached runs.
 
-A :class:`Workspace` bundles everything a plan's specialized executor
+A :class:`Workspace` bundles every array a plan's executor
 (:meth:`~repro.core.plan.ExecutionPlan.execute`) writes into for one frame
-shape: the device-resident buffers of the pipeline proper (downscaled,
-upscaled, pEdge — real :class:`~repro.cl.Buffer` objects on a private
-context, recycled with :meth:`~repro.cl.buffer.Buffer.reset`) and the host
-scratch arrays of the separable stages.  Checking one out, running a frame,
-and checking it back in allocates nothing; ``reset`` only re-zeros the
-pEdge border ring (four thin slices — O(h + w) work), which is the sole
-cross-frame invariant the executor relies on.
+shape: the pipeline's own planes (downscaled, upscaled, pEdge, the
+sharpness tail) and the scratch of the separable stages.  Checking one
+out, running a frame, and checking it back in allocates nothing.  A
+workspace is recycled dirty: every stage of :mod:`repro.algo.stages`
+writes each cell before it reads it (Sobel re-zeros its own border ring),
+so no frame can leak into the next.
 
 :class:`BufferPool` keeps at most ``max_entries`` idle workspaces per
 shape.  Checkouts beyond the bound still succeed (a fresh workspace is
@@ -16,8 +15,8 @@ built) but the surplus is dropped at check-in, so a burst never grows the
 steady-state footprint.  All operations are thread-safe: the batch
 engine's workers share one pool.
 
-Memory note: one 512x512 float64 workspace is ~27 MB; at 4096x4096 it is
-~1.7 GB, so size ``max_entries`` (and the batch worker count) to the frame
+Memory note: one 512x512 float64 workspace is ~23 MB; at 4096x4096 it is
+~1.5 GB, so size ``max_entries`` (and the batch worker count) to the frame
 resolution.
 """
 
@@ -27,17 +26,14 @@ import threading
 
 import numpy as np
 
-from ..cl.context import Context
 from ..errors import ConfigError
-from ..simgpu.device import DeviceSpec, W8000
 from ..types import FLOAT
 
 
 class Workspace:
     """Preallocated per-shape scratch for one in-flight frame."""
 
-    def __init__(self, h: int, w: int, *,
-                 device: DeviceSpec = W8000) -> None:
+    def __init__(self, h: int, w: int) -> None:
         if h % 4 or w % 4 or h < 16 or w < 16:
             raise ConfigError(
                 f"workspace sides must be multiples of 4 and >= 16, "
@@ -45,75 +41,41 @@ class Workspace:
             )
         self.h, self.w = h, w
         hd, wd = h // 4, w // 4
-        # Device-resident buffers (zero-initialized, like clCreateBuffer
-        # in the rest of the simulation).
-        self.context = Context(device, "functional")
-        self.down_buf = self.context.create_buffer(
-            (hd, wd), transfer_itemsize=4, name="pool_down")
-        self.up_buf = self.context.create_buffer(
-            (h, w), transfer_itemsize=4, name="pool_up")
-        self.pedge_buf = self.context.create_buffer(
-            (h, w), transfer_itemsize=4, name="pool_pedge")
-        self.down = self.down_buf.data
-        self.up = self.up_buf.data
-        self.edge = self.pedge_buf.data
-        # Host scratch of the separable stages.  The sharpness-tail arrays
-        # (err/strength/prelim) only cover the interior: on the one-pixel
-        # border the edge map is zero, so the sharpen strength is zero and
-        # the preliminary image equals the upscaled plane — the executor
-        # takes the final border straight from ``up``.
+        # The pipeline's planes, zero-initialized like the device buffers
+        # of the generic path.
+        self.down = np.zeros((hd, wd), dtype=FLOAT)
+        self.up = np.zeros((h, w), dtype=FLOAT)
+        self.edge = np.zeros((h, w), dtype=FLOAT)
+        self.err = np.empty((h, w), dtype=FLOAT)
+        self.strength = np.empty((h, w), dtype=FLOAT)
+        self.prelim = np.empty((h, w), dtype=FLOAT)
+        # Scratch of the separable stages, named after their parameters.
         self.colsum = np.empty((h, wd), dtype=FLOAT)
         self.rows = np.empty((4 * (hd - 1), wd), dtype=FLOAT)
         self.tcol = np.empty((h - 2, w), dtype=FLOAT)
         self.urow = np.empty((h, w - 2), dtype=FLOAT)
-        self.gx = np.empty((h - 2, w - 2), dtype=FLOAT)
         self.gy = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.err = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.strength = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.prelim = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.mnc = np.empty((h, w - 2), dtype=FLOAT)
-        self.mxc = np.empty((h, w - 2), dtype=FLOAT)
+        self.cols = np.empty((h, w - 2), dtype=FLOAT)
         self.mn = np.empty((h - 2, w - 2), dtype=FLOAT)
         self.mx = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.over = np.empty((h - 2, w - 2), dtype=bool)
-        self.under = np.empty((h - 2, w - 2), dtype=bool)
+        self.mask = np.empty((h - 2, w - 2), dtype=bool)
 
     @property
     def nbytes(self) -> int:
-        """Total scratch footprint (device buffers + host arrays)."""
-        arrays = (self.down, self.up, self.edge, self.colsum, self.rows,
-                  self.tcol, self.urow, self.gx, self.gy, self.err,
-                  self.strength, self.prelim, self.mnc, self.mxc,
-                  self.mn, self.mx, self.over, self.under)
-        return sum(a.nbytes for a in arrays)
-
-    def reset(self) -> None:
-        """Make the workspace frame-clean.
-
-        The executor overwrites every cell it reads except the pEdge border
-        ring (Sobel leaves the border zero by construction), so only that
-        ring needs restoring; everything else is recycled dirty.
-        """
-        for buf in (self.down_buf, self.up_buf, self.pedge_buf):
-            buf.reset()
-        h, w = self.h, self.w
-        self.edge[0] = 0.0
-        self.edge[h - 1] = 0.0
-        self.edge[:, 0] = 0.0
-        self.edge[:, w - 1] = 0.0
+        """Total scratch footprint in bytes."""
+        return sum(a.nbytes for a in vars(self).values()
+                   if isinstance(a, np.ndarray))
 
 
 class BufferPool:
     """Bounded, thread-safe pool of :class:`Workspace` objects per shape."""
 
-    def __init__(self, max_entries: int = 4, *,
-                 device: DeviceSpec = W8000, obs=None) -> None:
+    def __init__(self, max_entries: int = 4, *, obs=None) -> None:
         if max_entries < 1:
             raise ConfigError(
                 f"buffer pool max_entries must be >= 1, got {max_entries}"
             )
         self.max_entries = max_entries
-        self.device = device
         #: Optional RunContext; its fault plan's ``oom`` site makes
         #: checkouts simulate CL_MEM_OBJECT_ALLOCATION_FAILURE.
         self.obs = obs
@@ -125,7 +87,7 @@ class BufferPool:
         self.discarded = 0
 
     def checkout(self, h: int, w: int) -> Workspace:
-        """Borrow a frame-clean workspace for an ``h x w`` frame."""
+        """Borrow a workspace for an ``h x w`` frame."""
         obs = self.obs
         if obs is not None and obs.faults is not None:
             # Simulated device OOM fires before any pool state changes, so
@@ -139,11 +101,7 @@ class BufferPool:
                 self.reused += 1
             else:
                 self.created += 1
-        if ws is None:
-            ws = Workspace(h, w, device=self.device)
-        else:
-            ws.reset()
-        return ws
+        return ws if ws is not None else Workspace(h, w)
 
     def checkin(self, ws: Workspace) -> None:
         """Return a workspace; surplus beyond the bound is dropped."""
@@ -155,14 +113,6 @@ class BufferPool:
             else:
                 self.discarded += 1
 
-    def lease(self, h: int, w: int):
-        """``with pool.lease(h, w) as ws:`` checkout/checkin guard."""
-        return _Lease(self, h, w)
-
-    def idle_count(self) -> int:
-        with self._lock:
-            return sum(len(s) for s in self._idle.values())
-
     def stats(self) -> dict[str, int]:
         with self._lock:
             idle = sum(len(s) for s in self._idle.values())
@@ -173,21 +123,3 @@ class BufferPool:
                 "reused": self.reused,
                 "discarded": self.discarded,
             }
-
-
-class _Lease:
-    """Context manager backing :meth:`BufferPool.lease`."""
-
-    def __init__(self, pool: BufferPool, h: int, w: int) -> None:
-        self._pool = pool
-        self._h, self._w = h, w
-        self._ws: Workspace | None = None
-
-    def __enter__(self) -> Workspace:
-        self._ws = self._pool.checkout(self._h, self._w)
-        return self._ws
-
-    def __exit__(self, *exc) -> None:
-        if self._ws is not None:
-            self._pool.checkin(self._ws)
-            self._ws = None

@@ -159,7 +159,7 @@ class GPUPipeline:
         self.plan_cache = plan_cache if plan_cache is not None else (
             PlanCache() if caching else None)
         self.buffer_pool = buffer_pool if buffer_pool is not None else (
-            BufferPool(device=device, obs=self.obs) if caching else None)
+            BufferPool(obs=self.obs) if caching else None)
 
     # -- helpers -------------------------------------------------------------
 
@@ -189,10 +189,10 @@ class GPUPipeline:
             if plan is not None:
                 result = self._run_planned(image, plan, obs)
             else:
-                result, queue = self._run_instrumented(image, obs)
+                result, queue, levels = self._run_instrumented(image, obs)
                 if key is not None:
                     self.plan_cache.put(
-                        key, self._capture_plan(key, result, queue))
+                        key, self._capture_plan(key, result, queue, levels))
         obs.observe_stages(self.label, result.times.times,
                            declare=GPU_STAGE_ORDER)
         obs.record_run(self.label, result.total_time)
@@ -228,37 +228,9 @@ class GPUPipeline:
             params_structure=type(self.params).__name__,
         )
 
-    def _plan_geometry(self, h: int, w: int) -> dict:
-        """The NDRange geometry of every launch the flag set implies."""
-        flags = self.flags
-        geometry = {"downscale": _grid2d(w // 4, h // 4)}
-        if heuristics.border_on_gpu(flags, h, w):
-            geometry["border"] = (BORDER_GLOBAL, BORDER_LOCAL)
-        if flags.vectorize:
-            geometry["center"] = _grid2d((w - 4) // 4, (h - 4) // 4)
-            geometry["sobel"] = _grid2d(round_up(w, 4) // 4, h)
-        else:
-            geometry["center"] = _grid2d(w - 4, h - 4)
-            geometry["sobel"] = _grid2d(w, h)
-        if flags.reduction_on_gpu:
-            n_groups, gsz, lsz = reduction_layout(h * w)
-            geometry["reduction0"] = (gsz, lsz)
-            stage2 = heuristics.reduction_stage2_on_gpu(flags, n_groups)
-            count, level = n_groups, 1
-            while stage2 and count > GROUP_SPAN:
-                n_groups, gsz, lsz = reduction_layout(count)
-                geometry[f"reduction{level}"] = (gsz, lsz)
-                count, level = n_groups, level + 1
-        if flags.fuse_sharpness:
-            geometry["sharpness"] = (_grid2d(round_up(w, 4) // 4, h)
-                                     if flags.vectorize else _grid2d(w, h))
-        else:
-            geometry["perror"] = geometry["prelim"] = \
-                geometry["overshoot"] = _grid2d(w, h)
-        return geometry
-
     def _capture_plan(self, key: PlanKey, result: GPUResult,
-                      queue: CommandQueue) -> ExecutionPlan:
+                      queue: CommandQueue,
+                      levels: tuple[tuple[int, int], ...]) -> ExecutionPlan:
         kernels = build_kernel_set(self.flags)
         plan = ExecutionPlan.capture(
             key,
@@ -266,8 +238,8 @@ class GPUPipeline:
             times=result.times,
             border_gpu=result.border_ran_on_gpu,
             stage2_gpu=result.reduction_stage2_on_gpu,
+            reduction_levels=levels,
             kernels=tuple(sorted(kernels)),
-            geometry=self._plan_geometry(key.height, key.width),
             transfer_bytes=queue.transfer_bytes,
         )
         if self.obs.enabled:
@@ -283,8 +255,9 @@ class GPUPipeline:
                      obs) -> GPUResult:
         """Replay a cached plan: pooled buffers, zero per-frame setup.
 
-        Pixels come from the plan's specialized executor (bit-identical to
-        the generic path); the timeline/stage times are the capture's
+        Pixels come from :meth:`ExecutionPlan.execute`, which runs the same
+        stage functions as the generic path (so they are bit-identical to
+        it); the timeline/stage times are the capture's
         immutable template, valid because simulated costs never depend on
         pixel values.  Queue-level metrics are replayed from the capture;
         per-stage host spans are not re-emitted for cached frames.
@@ -326,8 +299,11 @@ class GPUPipeline:
             intermediates={},
         )
 
-    def _run_instrumented(self, image: Image,
-                          obs) -> tuple[GPUResult, CommandQueue]:
+    def _run_instrumented(
+        self, image: Image, obs,
+    ) -> tuple[GPUResult, CommandQueue, tuple[tuple[int, int], ...]]:
+        """Run the generic path; also return its queue and the reduction
+        levels it launched, which a plan capture records."""
         flags = self.flags
         plane = image.plane
         h, w = plane.shape
@@ -416,8 +392,8 @@ class GPUPipeline:
 
         # ---- reduction (section V.C) -------------------------------------------
         with obs.trace.span("gpu.reduction"):
-            edge_mean, stage2_gpu = self._reduce(ctx, queue, planner,
-                                                 kernels, pedge_buf, n)
+            edge_mean, stage2_gpu, levels = self._reduce(
+                ctx, queue, planner, kernels, pedge_buf, n)
 
         # ---- sharpness tail (section V.B) ---------------------------------------
         with obs.trace.span("gpu.sharpness", fused=flags.fuse_sharpness):
@@ -475,16 +451,18 @@ class GPUPipeline:
             kernel_launches=len(ctx.timeline.of_kind("kernel")),
             intermediates=intermediates,
         )
-        return result, queue
+        return result, queue, levels
 
     # -- reduction sub-flow -----------------------------------------------------
 
     def _reduce(self, ctx: Context, queue: CommandQueue,
                 planner: TransferPlanner, kernels, pedge_buf: Buffer,
-                n: int) -> tuple[float, bool]:
+                n: int) -> tuple[float, bool,
+                                 tuple[tuple[int, int], ...]]:
         """Compute the mean of pEdge per the reduction flags.
 
-        Returns ``(mean, stage2_ran_on_gpu)``.
+        Returns ``(mean, stage2_ran_on_gpu, levels)``; ``levels`` holds the
+        ``(count, n_groups)`` of every device reduction launched, in order.
         """
         flags = self.flags
         if not flags.reduction_on_gpu:
@@ -494,7 +472,7 @@ class GPUPipeline:
             queue.host_step("reduction_host",
                             reduction_host_time(n, self.cpu),
                             stage="reduction")
-            return float(pedge_host.sum()) / n, False
+            return float(pedge_host.sum()) / n, False, ()
 
         # Stage 1: workgroup tree reduction on the device.
         n_groups, gsz, lsz = reduction_layout(n)
@@ -502,18 +480,19 @@ class GPUPipeline:
                                         name="partial0")
         self._launch(queue, kernels["reduction"],
                      (pedge_buf, partial_buf, n), gsz, lsz, "reduction")
+        levels = [(n, n_groups)]
 
         stage2_gpu = heuristics.reduction_stage2_on_gpu(flags, n_groups)
         count = n_groups
         current = partial_buf
-        level = 1
         while stage2_gpu and count > GROUP_SPAN:
             ng2, gsz2, lsz2 = reduction_layout(count)
             nxt = ctx.create_buffer((ng2,), transfer_itemsize=4,
-                                    name=f"partial{level}")
+                                    name=f"partial{len(levels)}")
             self._launch(queue, kernels["reduction"],
                          (current, nxt, count), gsz2, lsz2, "reduction")
-            current, count, level = nxt, ng2, level + 1
+            levels.append((count, ng2))
+            current, count = nxt, ng2
 
         # Final: the surviving partials come back in one small transfer and
         # the host adds them up.
@@ -521,4 +500,4 @@ class GPUPipeline:
         queue.host_step("reduction_final",
                         reduction_host_time(count, self.cpu),
                         stage="reduction")
-        return float(partials.sum()) / n, stage2_gpu
+        return float(partials.sum()) / n, stage2_gpu, tuple(levels)

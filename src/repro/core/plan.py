@@ -11,18 +11,17 @@ An :class:`ExecutionPlan` captures all of that once, from the first (fully
 generic) run of a given :class:`PlanKey`, and replays it for every later
 frame:
 
-* the *decisions* (kernel set, placements, geometry, reduction levels) are
-  stored and reused instead of re-derived;
+* the *decisions* (kernel set, placements, reduction levels) are recorded
+  from the launches of that run and reused instead of re-derived;
 * the *timeline* and per-stage times are shared as an immutable template —
   simulated costs are content-independent, so frame N's timeline is
   bit-identical to frame 1's;
-* the *pixels* are produced by a specialized executor that writes into
-  pooled scratch (see :mod:`repro.core.bufferpool`) with no per-frame
-  allocations beyond the output plane itself.  The executor follows the
-  same canonical operation order as :mod:`repro.algo.stages` (same
-  association order in every sum, same reduction level chain), so cached
-  and uncached runs produce **bit-identical** images and edge means — the
-  test suite asserts ``np.array_equal``.
+* the *pixels* are produced by calling the stage functions of
+  :mod:`repro.algo.stages` — the same functions the generic kernels run —
+  on pooled scratch (see :mod:`repro.core.bufferpool`), and by summing the
+  edge map over the reduction level chain the capture launched.  Cached
+  and uncached runs therefore produce **bit-identical** images and edge
+  means by construction — the test suite asserts ``np.array_equal``.
 
 :class:`PlanCache` is a thread-safe LRU keyed on :class:`PlanKey`; its
 hit/miss counters surface through the metrics registry as
@@ -38,23 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..algo import stages as algo
-from ..kernels.reduction import GROUP_SPAN, reduction_layout
+from ..kernels.reduction import group_sums
 from ..simgpu.device import CPUSpec, DeviceSpec
 from ..simgpu.profiling import Timeline
-from ..types import FLOAT, SharpnessParams, StageTimes
-from . import heuristics
+from ..types import SharpnessParams, StageTimes
 from .config import OptimizationFlags
-
-#: ``x ** 0.5`` and ``sqrt(x)`` agree bitwise on IEEE-754 platforms numpy
-#: targets; probe once so the fast executor only takes the sqrt shortcut
-#: when the platform actually honours the identity.
-_POW_PROBE = np.concatenate([
-    np.array([0.0, 1.0, 2.0, 0.5, 255.0, 1e-300, 1e300], dtype=FLOAT),
-    np.geomspace(1e-12, 1e12, 97, dtype=FLOAT),
-])
-POW_HALF_IS_SQRT = bool(
-    np.array_equal(np.power(_POW_PROBE, FLOAT(0.5)), np.sqrt(_POW_PROBE))
-)
 
 
 @dataclass(frozen=True)
@@ -75,45 +62,6 @@ class PlanKey:
     params_structure: str = SharpnessParams.__name__
 
 
-def _reduction_levels(flags: OptimizationFlags,
-                      n: int) -> tuple[tuple[tuple[int, int], ...], bool]:
-    """Device-side reduction level chain ``((count, n_groups), ...)``.
-
-    Mirrors ``GPUPipeline._reduce`` exactly: stage 1 always runs, further
-    levels run while stage 2 sits on the GPU and the surviving partial
-    count still exceeds one workgroup span.  Empty chain = reduction on CPU.
-    """
-    if not flags.reduction_on_gpu:
-        return (), False
-    n_groups, _, _ = reduction_layout(n)
-    levels = [(n, n_groups)]
-    stage2_gpu = heuristics.reduction_stage2_on_gpu(flags, n_groups)
-    count = n_groups
-    while stage2_gpu and count > GROUP_SPAN:
-        ng2, _, _ = reduction_layout(count)
-        levels.append((count, ng2))
-        count = ng2
-    return tuple(levels), stage2_gpu
-
-
-def _group_sums(flat: np.ndarray, count: int, n_groups: int) -> np.ndarray:
-    """Per-workgroup sums of ``flat[:count]`` with the default span.
-
-    Bit-identical to the functional reduction kernel's per-slice ``.sum()``
-    loop: a contiguous row of a reshape and the equivalent 1-D slice run
-    the same pairwise summation.
-    """
-    span = GROUP_SPAN
-    full = count // span
-    if full == n_groups:
-        return flat[:count].reshape(n_groups, span).sum(axis=1)
-    partials = np.empty(n_groups, dtype=FLOAT)
-    if full:
-        partials[:full] = flat[:full * span].reshape(full, span).sum(axis=1)
-    partials[full] = flat[full * span:count].sum()
-    return partials
-
-
 @dataclass
 class ExecutionPlan:
     """Everything frame-invariant about one pipeline configuration."""
@@ -121,12 +69,11 @@ class ExecutionPlan:
     key: PlanKey
     border_gpu: bool
     stage2_gpu: bool
-    #: Device-side reduction levels as ``(count, n_groups)`` pairs.
+    #: Device-side reduction levels as the ``(count, n_groups)`` pairs the
+    #: capture launched; empty when the reduction ran on the CPU.
     reduction_levels: tuple[tuple[int, int], ...]
     #: Kernel names of the flag set (introspection / logs).
     kernels: tuple[str, ...]
-    #: ``stage -> (global_size, local_size)`` NDRange geometry.
-    geometry: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
     #: Immutable per-frame timeline template (content-independent costs).
     timeline: Timeline
     times: StageTimes
@@ -143,8 +90,8 @@ class ExecutionPlan:
     @classmethod
     def capture(cls, key: PlanKey, *, timeline: Timeline, times: StageTimes,
                 border_gpu: bool, stage2_gpu: bool,
+                reduction_levels: tuple[tuple[int, int], ...],
                 kernels: tuple[str, ...],
-                geometry: dict[str, tuple[tuple[int, ...], tuple[int, ...]]],
                 transfer_bytes: dict[str, int]) -> "ExecutionPlan":
         """Build a plan from the artifacts of one generic reference run."""
         cmd_counts = dict(Counter(ev.kind for ev in timeline.events))
@@ -153,17 +100,12 @@ class ExecutionPlan:
             if ev.kind == "kernel":
                 name = ev.name.removeprefix("kernel:")
                 durations.setdefault(name, []).append(ev.duration)
-        levels, level_stage2 = _reduction_levels(
-            key.flags, key.height * key.width)
-        if level_stage2 != stage2_gpu:  # pragma: no cover - consistency
-            raise AssertionError("reduction placement drifted from capture")
         return cls(
             key=key,
             border_gpu=border_gpu,
             stage2_gpu=stage2_gpu,
-            reduction_levels=levels,
+            reduction_levels=reduction_levels,
             kernels=kernels,
-            geometry=geometry,
             timeline=timeline,
             times=times,
             kernel_launches=len(timeline.of_kind("kernel")),
@@ -209,149 +151,35 @@ class ExecutionPlan:
             for duration in durations:
                 child.observe(duration)
 
-    # -- specialized frame executor -------------------------------------------
+    # -- frame executor -------------------------------------------------------
 
     def execute(self, plane: np.ndarray, params: SharpnessParams,
                 ws) -> tuple[np.ndarray, float]:
         """Sharpen one frame through pooled scratch; allocation-free steady
-        state apart from the returned output plane (which the caller owns).
+        state apart from the returned output plane (which the caller owns)
+        and the sparse overshoot blend's index arrays.
 
         ``ws`` is a :class:`~repro.core.bufferpool.Workspace` of matching
-        shape.  Every operation reproduces the canonical stage functions'
-        float association order, so the result is bit-identical to the
-        generic kernel path.
+        shape.  The border lines are built on the host whatever their
+        placement: both placements produce identical values, and the
+        placement only shapes the (already captured) timeline.
         """
-        h, w = self.key.height, self.key.width
-
-        # ---- downscale: non-overlapping 4x4 block means ---------------------
-        # Explicit slice adds in reduce order: np.add.reduce over a length-4
-        # axis is sequential (((a0+a1)+a2)+a3), so this matches
-        # ``blocks.sum(axis=(1, 3))`` bit for bit at a third of the cost
-        # (the multi-axis strided reduce is iteration-bound).
-        down = ws.down
-        cols = plane.reshape(h, w // 4, 4)
-        s1 = ws.colsum
-        np.add(cols[:, :, 0], cols[:, :, 1], out=s1)
-        np.add(s1, cols[:, :, 2], out=s1)
-        np.add(s1, cols[:, :, 3], out=s1)
-        rows4 = s1.reshape(h // 4, 4, w // 4)
-        np.add(rows4[:, 0], rows4[:, 1], out=down)
-        np.add(down, rows4[:, 2], out=down)
-        np.add(down, rows4[:, 3], out=down)
-        np.divide(down, FLOAT(16.0), out=down)
-
-        # ---- upscale body (separable, same order as _interp_body_axis0) -----
-        rows = ws.rows
-        a, b = down[:-1], down[1:]
-        for k in range(4):
-            wl, wr = algo.UPSCALE_P[k]
-            np.add(wl * a, wr * b, out=rows[k::4])
-        # Second (column) pass straight into the body view: element [i, 4q+k]
-        # is wl*rows[i, q] + wr*rows[i, q+1] — the same scalar expression the
-        # transpose formulation produces, without materializing the
-        # transposed intermediate.
-        up = ws.up
-        body = up[2:h - 2, 2:w - 2]
-        ra, rb = rows[:, :-1], rows[:, 1:]
-        for k in range(4):
-            wl, wr = algo.UPSCALE_P[k]
-            np.add(wl * ra, wr * rb, out=body[:, k::4])
-        # Border lines: host construction regardless of the GPU/CPU
-        # placement — both placements produce identical values (asserted by
-        # the flag-equivalence tests); the placement only shapes the
-        # (already captured) timeline.
-        algo.upscale_border_apply(up, down)
-
-        # ---- Sobel (separable; association order matches algo.sobel) --------
-        tcol, urow = ws.tcol, ws.urow
-        np.multiply(plane[1:h - 1], 2.0, out=tcol)
-        np.add(plane[0:h - 2], tcol, out=tcol)
-        np.add(tcol, plane[2:h], out=tcol)
-        gx = np.subtract(tcol[:, 2:], tcol[:, :-2], out=ws.gx)
-        np.multiply(plane[:, 1:w - 1], 2.0, out=urow)
-        np.add(plane[:, 0:w - 2], urow, out=urow)
-        np.add(urow, plane[:, 2:w], out=urow)
-        gy = np.subtract(urow[2:], urow[:-2], out=ws.gy)
-        np.abs(gx, out=gx)
-        np.abs(gy, out=gy)
-        edge = ws.edge  # border ring is kept zero by Workspace.reset()
-        np.add(gx, gy, out=edge[1:h - 1, 1:w - 1])
-
-        # ---- reduction: exact level chain of the capture ---------------------
-        n = h * w
-        if not self.reduction_levels:
-            edge_mean = float(edge.sum()) / n
-        else:
-            flat = edge.ravel()
-            for count, n_groups in self.reduction_levels:
-                flat = _group_sums(flat, count, n_groups)
-            edge_mean = float(flat.sum()) / n
-
-        # ---- fused sharpness tail (interior only) ---------------------------
-        # On the one-pixel border the edge map is zero (the ring the
-        # workspace keeps zeroed), so strength is zero there and the
-        # preliminary image equals ``up`` — compute err/strength/prelim on
-        # the contiguous interior and take the border from ``up`` below.
-        pi = plane[1:h - 1, 1:w - 1]
-        ui = up[1:h - 1, 1:w - 1]
-        err = np.subtract(pi, ui, out=ws.err)
-        strength = ws.strength
-        if edge_mean <= 0.0:
-            strength[...] = 0.0
-        else:
-            np.divide(edge[1:h - 1, 1:w - 1], FLOAT(edge_mean),
-                      out=strength)
-            if params.gamma == 0.5 and POW_HALF_IS_SQRT:
-                np.sqrt(strength, out=strength)
-            else:
-                np.power(strength, FLOAT(params.gamma), out=strength)
-            np.multiply(strength, FLOAT(params.gain), out=strength)
-            np.clip(strength, 0.0, params.strength_max, out=strength)
-        prelim = ws.prelim
-        np.multiply(strength, err, out=prelim)
-        np.add(ui, prelim, out=prelim)
-
-        # ---- overshoot control (separable 3x3 min/max, sparse blend) --------
-        osc = FLOAT(params.overshoot)
-        mnc, mxc = ws.mnc, ws.mxc
-        np.minimum(plane[:, 0:w - 2], plane[:, 1:w - 1], out=mnc)
-        np.minimum(mnc, plane[:, 2:w], out=mnc)
-        np.maximum(plane[:, 0:w - 2], plane[:, 1:w - 1], out=mxc)
-        np.maximum(mxc, plane[:, 2:w], out=mxc)
-        mn, mx = ws.mn, ws.mx
-        np.minimum(mnc[0:h - 2], mnc[1:h - 1], out=mn)
-        np.minimum(mn, mnc[2:h], out=mn)
-        np.maximum(mxc[0:h - 2], mxc[1:h - 1], out=mx)
-        np.maximum(mx, mxc[2:h], out=mx)
-
-        final = np.empty((h, w), dtype=FLOAT)
-        body = prelim  # contiguous (h-2, w-2)
-        np.clip(body, 0.0, 255.0, out=final[1:h - 1, 1:w - 1])
-        # Sparse blend through flat integer indices: boolean fancy indexing
-        # walks the mask per element, flatnonzero + take/scatter only touches
-        # the (typically ~10-20%) overshooting pixels.
-        np.greater(body, mx, out=ws.over)
-        np.less(body, mn, out=ws.under)
-        final_flat = final.ravel()
-        body_flat = body.ravel()
-        wi = w - 2
-        for idx_ws, bound, ref in ((ws.over, mx, True), (ws.under, mn, False)):
-            idx = np.flatnonzero(idx_ws)
-            if idx.size == 0:
-                continue
-            bv = np.take(body_flat, idx)
-            lv = np.take(bound.ravel(), idx)
-            if ref:
-                vals = np.minimum(lv + osc * (bv - lv), 255.0)
-            else:
-                vals = np.maximum(lv - osc * (lv - bv), 0.0)
-            # interior index (r, c) -> final index (r+1, c+1), flattened
-            final_flat[idx + 2 * (idx // wi) + w + 1] = vals
-
-        np.clip(up[0], 0.0, 255.0, out=final[0])
-        np.clip(up[h - 1], 0.0, 255.0, out=final[h - 1])
-        np.clip(up[:, 0], 0.0, 255.0, out=final[:, 0])
-        np.clip(up[:, w - 1], 0.0, 255.0, out=final[:, w - 1])
+        down = algo.downscale(plane, out=ws.down, colsum=ws.colsum)
+        up = algo.upscale(down, out=ws.up, rows=ws.rows)
+        edge = algo.sobel(plane, out=ws.edge, tcol=ws.tcol, urow=ws.urow,
+                          gy=ws.gy)
+        partials = edge.ravel()
+        for count, n_groups in self.reduction_levels:
+            partials = group_sums(partials, count, n_groups)
+        edge_mean = algo.reduce_sum(partials) / edge.size
+        err = algo.perror(plane, up, out=ws.err)
+        strength = algo.strength_map(edge, edge_mean, params,
+                                     out=ws.strength)
+        prelim = algo.preliminary_sharpen(up, err, strength, out=ws.prelim)
+        bounds = algo.neighborhood_minmax(plane, out=(ws.mn, ws.mx),
+                                          cols=ws.cols)
+        final = algo.overshoot_control(prelim, plane, params, bounds=bounds,
+                                       mask=ws.mask)
         return final, edge_mean
 
 

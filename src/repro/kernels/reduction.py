@@ -37,6 +37,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from ..cl.kernel import KernelSpec
 from ..errors import ConfigError
 from ..simgpu.costmodel import KernelCost
@@ -67,6 +69,23 @@ def reduction_layout(n: int, *, wg: int = REDUCTION_WG,
         raise ConfigError(f"elements per thread must be > 0, got {ept}")
     n_groups = math.ceil(n / (wg * ept))
     return n_groups, (n_groups * wg,), (wg,)
+
+
+def group_sums(flat: np.ndarray, count: int, n_groups: int, *,
+               span: int = GROUP_SPAN) -> np.ndarray:
+    """Per-workgroup sums of ``flat[:count]``: group ``g`` adds
+    ``flat[g * span:(g + 1) * span]``, what one stage-1 launch writes to
+    its partials buffer.
+
+    The full groups are summed as rows of one reshape; a contiguous row
+    and the equivalent 1-D slice run the same pairwise summation.
+    """
+    full = min(count // span, n_groups)
+    partials = np.zeros(n_groups, dtype=np.float64)
+    partials[:full] = flat[:full * span].reshape(full, span).sum(axis=1)
+    if full < n_groups:
+        partials[full] = flat[full * span:count].sum()
+    return partials
 
 
 def barriers_for(unroll: int, wg: int) -> int:
@@ -209,11 +228,9 @@ def make_reduction_spec(*, unroll: int = 1, wg: int = REDUCTION_WG,
     n_barriers = barriers_for(unroll, wg)
 
     def functional(global_size, local_size, src, partial, n):
-        flat = src.ravel()[:n]
         n_groups = global_size[0] // wg
-        out = partial.ravel()
-        for g in range(n_groups):
-            out[g] = flat[g * span : (g + 1) * span].sum()
+        partial.ravel()[:n_groups] = group_sums(src.ravel(), n, n_groups,
+                                                span=span)
 
     def cost(device: DeviceSpec, global_size, local_size,
              args) -> KernelCost:

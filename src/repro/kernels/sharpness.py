@@ -74,7 +74,7 @@ def make_prelim_spec(*, builtins: bool = False) -> KernelSpec:
     def functional(global_size, local_size, up, p_edge, p_error, dst,
                    mean, params, h, w):
         strength = algo.strength_map(p_edge, mean, params)
-        dst[...] = algo.preliminary_sharpen(up, p_error, strength)
+        algo.preliminary_sharpen(up, p_error, strength, out=dst)
 
     def emulator(ctx, up, p_edge, p_error, dst, mean, params, h, w):
         gx = ctx.get_global_id(0)
@@ -125,7 +125,7 @@ def make_overshoot_spec(*, padded: bool = False,
 
     def functional(global_size, local_size, prelim, src, dst, params, h, w):
         view = src[off : off + h, off : off + w]
-        dst[...] = algo.overshoot_control(prelim, view, params)
+        algo.overshoot_control(prelim, view, params, out=dst)
 
     def emulator(ctx, prelim, src, dst, params, h, w):
         gx = ctx.get_global_id(0)
@@ -197,7 +197,7 @@ def make_sharpness_fused_spec(*, padded: bool = False, vector: bool = False,
         err = algo.perror(view, up)
         strength = algo.strength_map(p_edge, mean, params)
         prelim = algo.preliminary_sharpen(up, err, strength)
-        dst[...] = algo.overshoot_control(prelim, view, params)
+        algo.overshoot_control(prelim, view, params, out=dst)
 
     if vector:
 

@@ -39,7 +39,7 @@ _FLOPS_PER_PIXEL = 17.0
 def _make_functional(off: int):
     def functional(global_size, local_size, src, dst, h, w):
         view = src[off : off + h, off : off + w]
-        dst[...] = algo.sobel(view)
+        algo.sobel(view, out=dst)
 
     return functional
 

@@ -27,7 +27,7 @@ from .base import F32, pixel_kernel_cost
 
 
 def _functional(global_size, local_size, down, up, h, w):
-    up[2 : h - 2, 2 : w - 2] = algo.upscale_body(down)
+    algo.upscale_body(down, out=up[2 : h - 2, 2 : w - 2])
 
 
 def _emulator_scalar(ctx, down, up, h, w):

@@ -83,6 +83,8 @@ def gaussian_blobs(height: int, width: int, *, n_blobs: int = 12,
     peak = plane.max()
     if peak > 0:
         plane *= 255.0 / peak
+        # ``peak * (255 / peak)`` can round to 255 + 1 ulp.
+        np.minimum(plane, 255.0, out=plane)
     return plane
 
 

@@ -90,6 +90,24 @@ class TestPlanCorrectness:
             assert got.kernel_launches == ref.kernel_launches
             assert got.times.times == ref.times.times
 
+    def test_plan_records_the_launched_reduction_chain(self, frames):
+        two_level = dataclasses.replace(OPTIMIZED, reduction_stage2="gpu")
+        big = np.full((1056, 1024), 100.0)
+        cases = (
+            (BASE, frames[0], ()),
+            (OPTIMIZED, frames[0], ((64 * 64, 4),)),
+            (two_level, Image.from_array(big),
+             ((1056 * 1024, 1056), (1056, 2))),
+        )
+        for flags, frame, chain in cases:
+            pipe = GPUPipeline(flags)
+            pipe.run(frame)
+            plan = pipe.plan_cache.get(pipe._plan_key(frame))
+            assert plan.reduction_levels == chain
+            launched = [e for e in plan.timeline.of_kind("kernel")
+                        if e.name.startswith("kernel:reduction")]
+            assert len(launched) == len(chain)
+
     def test_rectangular_frames(self):
         plane = images.video_sequence(32, 64, 2, seed=3)
         uncached = GPUPipeline(BASE, caching=False)

@@ -80,6 +80,19 @@ def wait_for_completed(job_dir, count, timeout=60):
     )
 
 
+def wait_for_stderr(proc, needle):
+    """Read ``proc``'s stderr up to the first line containing ``needle``;
+    return what was read."""
+    lines = []
+    for line in iter(proc.stderr.readline, ""):
+        lines.append(line)
+        if needle in line:
+            return "".join(lines)
+    raise AssertionError(
+        f"process exited before stderr showed {needle!r}:\n"
+        + "".join(lines))
+
+
 def read_outputs(out_dir):
     return {p.name: p.read_bytes()
             for p in sorted(pathlib.Path(out_dir).glob("*.pgm"))}
@@ -169,15 +182,21 @@ def test_double_sigterm_aborts_with_exit_4(tmp_path, frames_dir):
     proc = cli([
         str(frames_dir / "*.pgm"), str(tmp_path / "out"), "--batch",
         "--job-dir", str(job_dir), "--workers", "1",
-        "--inject-faults", "hang:rate=1.0,seconds=0.5;seed=1",
+        "--inject-faults", "hang:rate=1.0,seconds=2;seed=1",
         "--drain-timeout", "300",
     ])
     try:
+        # Signal only once frame 1 has begun its 2 s stall: the drain the
+        # first SIGTERM starts must wait for that frame, so the second
+        # SIGTERM lands mid-drain.  (A drain with nothing in flight
+        # finishes at once and rightly exits 3, not 4.)
+        head = wait_for_stderr(proc, "detail=frame:1")
         wait_for_completed(job_dir, 1)
         proc.send_signal(signal.SIGTERM)
         time.sleep(0.2)
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=60)
+        err = head + err
     finally:
         if proc.poll() is None:
             proc.kill()

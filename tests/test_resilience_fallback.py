@@ -61,7 +61,7 @@ class TestHealthyPath:
 
 
 class TestDegradation:
-    def test_fallback_bit_equivalent_to_cpu_optimized(self, frame):
+    def test_fallback_bit_equivalent_to_cpu_pipeline(self, frame):
         plan = FaultPlan.parse("transfer:rate=1.0,kind=permanent")
         obs = quiet_obs(faults=plan)
         pipe = FallbackPipeline(GPUPipeline(OPTIMIZED, obs=obs),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.types import validate_plane
+from repro.types import Image, validate_plane
 from repro.util import images as imgs
 from repro.util.tables import format_fraction_table, format_table
 from repro.util.validation import (
@@ -31,6 +31,13 @@ class TestGenerators:
         plane = gen()
         assert plane.shape == (64, 32), name
         validate_plane(plane)  # raises on violation
+
+    def test_gaussian_blobs_stay_in_range_for_every_seed(self):
+        """The rescale to a 255 peak must not overshoot by an ulp."""
+        for seed in range(200):
+            plane = imgs.gaussian_blobs(64, 48, seed=seed)
+            assert plane.max() <= 255.0, seed
+            Image.from_array(plane)  # raises on an out-of-range pixel
 
     def test_deterministic_with_seed(self):
         a = imgs.natural_like(32, 32, seed=5)
