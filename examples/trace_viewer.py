@@ -15,7 +15,7 @@ import pathlib
 import sys
 
 from repro import GPUPipeline, Image, OPTIMIZED
-from repro.core import StreamProcessor
+from repro.core import overlap_stream
 from repro.util import images
 
 
@@ -25,8 +25,9 @@ def main() -> None:
     outdir.mkdir(exist_ok=True)
 
     # --- one in-order pipeline run -------------------------------------
+    pipe = GPUPipeline(OPTIMIZED)
     image = Image.from_array(images.natural_like(1024, 1024, seed=5))
-    res = GPUPipeline(OPTIMIZED).run(image)
+    res = pipe.run(image)
     print("In-order optimized pipeline at 1024x1024:\n")
     print(res.timeline.ascii_gantt(60))
     single_path = outdir / "pipeline_1024.trace.json"
@@ -34,15 +35,16 @@ def main() -> None:
 
     # --- a pipelined 3-frame stream -------------------------------------
     frames = images.video_sequence(1024, 1024, 3, seed=5)
-    stream = StreamProcessor(OPTIMIZED, overlap_transfers=True).run(frames)
-    serial = sum(f.serial_time for f in stream.frames)
+    timelines = [pipe.run(frame).timeline for frame in frames]
+    pipelined = overlap_stream(timelines)
+    serial = sum(tl.total for tl in timelines)
     print("\n\nPipelined 3-frame stream (copy/compute overlap):\n")
-    print(stream.pipelined_timeline.ascii_gantt(60))
+    print(pipelined.ascii_gantt(60))
     print(f"\nserial {serial * 1e3:.2f} ms -> pipelined "
-          f"{stream.total_time * 1e3:.2f} ms "
-          f"({serial / stream.total_time:.2f}x)")
+          f"{pipelined.total * 1e3:.2f} ms "
+          f"({serial / pipelined.total:.2f}x)")
     stream_path = outdir / "stream_3x1024.trace.json"
-    stream.pipelined_timeline.write_chrome_trace(stream_path)
+    pipelined.write_chrome_trace(stream_path)
 
     print(f"\nwrote {single_path} and {stream_path}")
     print("open them at https://ui.perfetto.dev to see the DMA/compute/"

@@ -47,8 +47,6 @@ from .core import (
     GPUResult,
     OptimizationFlags,
     PlanCache,
-    StreamProcessor,
-    StreamResult,
 )
 from .cpu import CPUPipeline, CPUResult
 from .errors import (
@@ -116,8 +114,6 @@ __all__ = [
     "BufferPool",
     "FrameFailure",
     "PlanCache",
-    "StreamProcessor",
-    "StreamResult",
     "GPUPipeline",
     "GPUResult",
     "OptimizationFlags",

@@ -30,7 +30,7 @@ from .metrics import GPU_STAGE_ORDER, stage_times_from_timeline
 from .pipeline import GPUPipeline, GPUResult
 from .plan import ExecutionPlan, PlanCache, PlanKey
 from .portability import check_flags, device_tuning_summary, retune
-from .stream import FrameStats, StreamProcessor, StreamResult
+from .stream import FrameStats
 
 __all__ = [
     "BatchEngine",
@@ -63,6 +63,4 @@ __all__ = [
     "device_tuning_summary",
     "retune",
     "FrameStats",
-    "StreamProcessor",
-    "StreamResult",
 ]

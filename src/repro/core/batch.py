@@ -1,14 +1,17 @@
-"""Batch engine: bounded-concurrency frame streaming with ordered results.
+"""Batch engine: the one frame driver, with ordered results.
 
-:class:`BatchEngine` is the throughput layer on top of
-:class:`~repro.core.stream.StreamProcessor`'s per-frame semantics: frames
-are fed to a pool of worker threads (NumPy releases the GIL on the large
-array operations, so threads suffice), in-flight work is bounded by a
-semaphore (backpressure — a fast producer cannot queue an unbounded number
-of frames), and results come back **in submission order** regardless of
-completion order.  The pool never oversubscribes the host: the effective
-thread count is ``min(workers, os.cpu_count())``, because the per-frame
-work is compute-bound and extra threads only buy context switches.
+:class:`BatchEngine` drives every multi-frame run, from a one-worker TV
+stream to a durable photo-library job: frames are fed to a pool of worker
+threads (NumPy releases the GIL on the large array operations, so threads
+suffice), in-flight work is bounded by a semaphore (backpressure — a fast
+producer cannot queue an unbounded number of frames), and results come
+back **in submission order** regardless of completion order, one
+:class:`~repro.core.stream.FrameStats` per frame.  A stream's
+copy/compute-overlapped schedule is
+:func:`repro.core.dag.overlap_stream` over the frames' timelines.  The
+pool never oversubscribes the host: the effective thread count is
+``min(workers, os.cpu_count())``, because the per-frame work is
+compute-bound and extra threads only buy context switches.
 
 All workers share one :class:`~repro.core.plan.PlanCache` and one
 :class:`~repro.core.bufferpool.BufferPool`, so the first frame of a shape
@@ -38,12 +41,14 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from ..errors import ConfigError, ReproError, ValidationError, is_transient
+from ..errors import ConfigError, ReproError, ValidationError
 from ..obs.runctx import NULL_CONTEXT, RunContext
 from ..obs.trace import NullTracer
+from ..resilience.policy import execute
 from ..simgpu.device import CPUSpec, DeviceSpec, I5_3470, W8000
 from ..types import Image, SharpnessParams
 from .bufferpool import BufferPool
@@ -54,10 +59,22 @@ from .stream import FrameStats, frame_stats, resolve_frame_id
 
 FRAMES_FAILED = "repro_frames_failed_total"
 
-#: How often a hook-driven run polls futures / the admission semaphore
-#: while waiting, so drain deadlines and hang verdicts are honored
-#: promptly.  Hook-free runs keep the original fully-blocking waits.
+#: How often a run polls futures / the admission semaphore while waiting,
+#: so drain deadlines and hang verdicts are honored promptly.  A wait
+#: returns as soon as its frame or slot is ready, so polling costs nothing
+#: when no hooks are attached.
 _POLL_S = 0.05
+
+#: The hook surface with nothing attached: admit every frame, never
+#: abandon, no cancel tokens, no hang verdicts, no journaling.
+_NO_HOOKS = SimpleNamespace(
+    admit=lambda: True,
+    abandon=lambda: False,
+    frame_started=lambda index, frame_id: None,
+    frame_finished=lambda index: None,
+    is_hung=lambda index: False,
+    on_frame=lambda **outcome: None,
+)
 
 
 @dataclass
@@ -128,11 +145,20 @@ class BatchResult:
 
     @property
     def simulated_fps(self) -> float:
-        """Simulated steady-state fps (serial device model, cf. stream)."""
+        """Simulated steady-state fps (serial device model)."""
         total = sum(f.serial_time for f in self.frames)
         if total <= 0.0:
             raise ValidationError("batch produced no frames")
         return self.n_frames / total
+
+    @property
+    def transfer_share(self) -> float:
+        """Fraction of serial simulated time spent on PCI-E (the
+        copy/compute-overlap headroom)."""
+        total = sum(f.serial_time for f in self.frames)
+        if total <= 0.0:
+            return 0.0
+        return sum(f.transfer_time for f in self.frames) / total
 
 
 def _worker_view(obs: RunContext) -> RunContext:
@@ -156,8 +182,8 @@ class BatchEngine:
     Parameters
     ----------
     flags / params / device / cpu:
-        Pipeline configuration, as for
-        :class:`~repro.core.stream.StreamProcessor`.
+        Forwarded to each worker's
+        :class:`~repro.core.pipeline.GPUPipeline`.
     workers:
         Requested worker thread count (default 4).  The pool is actually
         sized to ``min(workers, os.cpu_count())``: the frame work is
@@ -178,7 +204,8 @@ class BatchEngine:
         :class:`~repro.resilience.FallbackPipeline` sharing one circuit
         breaker and one retry budget (so consecutive GPU failures
         anywhere trip the whole engine over to the CPU path together),
-        simulated worker crashes are re-dispatched, and — with
+        simulated worker crashes are re-dispatched under the same retry
+        policy and budget, and — with
         ``isolate=True`` — a frame that still fails yields an in-order
         ``FrameStats(error=...)`` plus a dead letter instead of aborting
         the batch.
@@ -188,7 +215,8 @@ class BatchEngine:
     hooks:
         Optional lifecycle hooks (duck-typed; see
         :class:`~repro.lifecycle.job.EngineHooks` for the reference
-        implementation).  The engine consults/calls, in order:
+        implementation; omitted, a no-op surface).  The engine
+        consults/calls, in order:
 
         * ``admit() -> bool`` before admitting each frame — ``False``
           stops admission (drain / load shed) and the run finishes with
@@ -238,7 +266,7 @@ class BatchEngine:
         self.keep_outputs = keep_outputs
         self.obs = obs or NULL_CONTEXT
         self.timeout = timeout
-        self.hooks = hooks
+        self.hooks = hooks or _NO_HOOKS
         self.resilience = self._effective_resilience(resilience)
         self.plan_cache = PlanCache()
         self._worker_obs = _worker_view(self.obs)
@@ -289,83 +317,54 @@ class BatchEngine:
         return pipe
 
     def _process(self, index: int, frame, frame_id: str = ""):
-        hooks = self.hooks
-        cancel = None
-        if hooks is not None:
-            cancel = hooks.frame_started(index, frame_id)
-        try:
-            if not isinstance(frame, Image):
-                frame = Image.from_array(np.asarray(frame))
-            faults = self.obs.faults
-            if faults is not None:
-                # The hang site stalls (cooperatively cancellable); a
-                # cancelled hang dies here as a FrameHangError.
-                try:
-                    faults.check("hang", self._worker_obs,
-                                 detail=f"frame:{index}", cancel=cancel)
-                except ReproError as exc:
-                    if (self.resilience is None
-                            or not self.resilience.isolate):
-                        raise
-                    return FrameFailure(
-                        index=index, frame_id=frame_id, error=str(exc),
-                        error_type=type(exc).__name__, attempts=1,
-                    ), 1
-            if self.resilience is None:
-                if faults is not None:
-                    faults.check("worker", self._worker_obs,
-                                 detail=f"frame:{index}")
-                return self._pipeline().run(frame), 1
-            return self._process_resilient(index, frame, frame_id)
-        finally:
-            if hooks is not None:
-                hooks.frame_finished(index)
+        """One frame: dispatch it to a worker, then run its pipeline once.
 
-    def _process_resilient(self, index: int, frame, frame_id: str = ""):
-        """One frame under the resilience policies.
-
-        The ``worker`` fault site fires here — a simulated worker crash.
-        Crashes (and any other transient error escaping the per-frame
-        pipeline wrapper) are re-dispatched up to the retry policy's
-        attempt bound, which models replacing a dead worker; the wrapped
-        pipeline does its own transfer/kernel-level retrying and GPU->CPU
-        fallback underneath.
+        The ``worker`` fault site fires at dispatch — a simulated worker
+        crash.  With resilience on, a transient crash is re-dispatched
+        under the retry policy, spending the shared budget and backing
+        off, which models replacing a dead worker.  The pipeline is never
+        retried from here: the wrapped pipeline does its own
+        transfer/kernel-level retrying and GPU->CPU fallback underneath.
+        Returns ``(result or FrameFailure, dispatches)``.
         """
         obs = self._worker_obs
         faults = obs.faults
-        policy = self.resilience.retry
-        last_exc: ReproError | None = None
-        for attempt in range(1, policy.max_attempts + 1):
+        dispatches = 0
+
+        def dispatch() -> None:
+            nonlocal dispatches
+            dispatches += 1
+            if faults is not None:
+                faults.check("worker", obs, detail=f"frame:{index}")
+
+        cancel = self.hooks.frame_started(index, frame_id)
+        try:
+            if not isinstance(frame, Image):
+                frame = Image.from_array(np.asarray(frame))
             try:
                 if faults is not None:
-                    faults.check("worker", obs, detail=f"frame:{index}")
-                result = self._pipeline().run(frame)
-                if attempt > 1 and obs.enabled:
-                    obs.metrics.counter(
-                        "repro_retries_total",
-                        "Retry-policy attempt outcomes", ("outcome",),
-                    ).labels(outcome="success").inc()
-                return result, attempt
+                    # The hang site stalls (cooperatively cancellable); a
+                    # cancelled hang dies here as a FrameHangError.
+                    faults.check("hang", obs, detail=f"frame:{index}",
+                                 cancel=cancel)
+                if self.resilience is None:
+                    dispatch()
+                else:
+                    execute(dispatch, self.resilience.retry,
+                            budget=self._budget, obs=obs,
+                            label="batch.dispatch")
+                return self._pipeline().run(frame), dispatches
             except ReproError as exc:
-                last_exc = exc
-                if attempt >= policy.max_attempts or not is_transient(exc):
-                    break
-                if obs.enabled:
-                    obs.metrics.counter(
-                        "repro_retries_total",
-                        "Retry-policy attempt outcomes", ("outcome",),
-                    ).labels(outcome="retried").inc()
-                    obs.log.warning(
-                        "batch.frame_retry", frame=index, attempt=attempt,
-                        error=type(exc).__name__,
-                    )
-        if not self.resilience.isolate:
-            raise last_exc
-        return FrameFailure(
-            index=index, frame_id=frame_id, error=str(last_exc),
-            error_type=type(last_exc).__name__,
-            attempts=min(attempt, policy.max_attempts),
-        ), attempt
+                if self.resilience is None or not self.resilience.isolate:
+                    raise
+                failure = FrameFailure(
+                    index=index, frame_id=frame_id, error=str(exc),
+                    error_type=type(exc).__name__,
+                    attempts=dispatches or 1,
+                )
+                return failure, failure.attempts
+        finally:
+            self.hooks.frame_finished(index)
 
     # -- main entry ------------------------------------------------------------
 
@@ -433,14 +432,13 @@ class BatchEngine:
                 result.edge_means.append(res.edge_mean)
                 if self.keep_outputs:
                     result.outputs.append(res.final)
-            if hooks is not None:
-                failed = isinstance(res, FrameFailure)
-                hooks.on_frame(
-                    index=index, frame_id=fid, stats=result.frames[-1],
-                    output=None if failed else res.final,
-                    edge_mean=result.edge_means[-1],
-                    failure=res if failed else None,
-                )
+            failed = isinstance(res, FrameFailure)
+            hooks.on_frame(
+                index=index, frame_id=fid, stats=result.frames[-1],
+                output=None if failed else res.final,
+                edge_mean=result.edge_means[-1],
+                failure=res if failed else None,
+            )
 
         def _abandon_pending() -> None:
             """Drop every still-in-flight frame (drain deadline/abort)."""
@@ -457,8 +455,7 @@ class BatchEngine:
             while pending:
                 index, fid, future = pending[0]
                 done = future.done()
-                if (not done and hooks is not None
-                        and hooks.is_hung(index)):
+                if not done and hooks.is_hung(index):
                     # Hung verdict from the watchdog: dead-letter the
                     # frame now instead of waiting on its worker (the
                     # cancel token reclaims the thread cooperatively).
@@ -481,11 +478,6 @@ class BatchEngine:
                     continue
                 if not block:
                     return
-                if hooks is None:
-                    res, attempts = future.result()
-                    pending.popleft()
-                    _absorb(index, fid, res, attempts)
-                    continue
                 if hooks.abandon():
                     _abandon_pending()
                     return
@@ -495,11 +487,8 @@ class BatchEngine:
                     continue
                 # Completed within the poll window: absorbed next pass.
 
-        def _admit(index: int) -> bool:
+        def _admit() -> bool:
             """Acquire a backpressure slot, honoring lifecycle stops."""
-            if hooks is None:
-                inflight.acquire()
-                return True
             while True:
                 if not hooks.admit():
                     result.interrupted = True
@@ -516,7 +505,7 @@ class BatchEngine:
                 # handoff + context switch per frame (~2 ms/frame measured
                 # on a single-core host).
                 for index, frame in enumerate(frames):
-                    if hooks is not None and not hooks.admit():
+                    if not hooks.admit():
                         result.interrupted = True
                         break
                     fid = resolve_frame_id(frame_ids, index, frame)
@@ -528,7 +517,7 @@ class BatchEngine:
                     thread_name_prefix="repro-batch")
                 try:
                     for index, frame in enumerate(frames):
-                        if not _admit(index):  # backpressure + lifecycle
+                        if not _admit():  # backpressure + lifecycle
                             break
                         fid = resolve_frame_id(frame_ids, index, frame)
                         future = pool.submit(

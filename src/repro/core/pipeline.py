@@ -188,11 +188,15 @@ class GPUPipeline:
                 ).labels(outcome="hit" if plan is not None else "miss").inc()
             if plan is not None:
                 result = self._run_planned(image, plan, obs)
+            elif key is None:
+                result, _, _ = self._run_instrumented(image, obs)
             else:
-                result, queue, levels = self._run_instrumented(image, obs)
-                if key is not None:
+                try:
+                    result, queue, levels = self._run_instrumented(image, obs)
                     self.plan_cache.put(
                         key, self._capture_plan(key, result, queue, levels))
+                finally:
+                    self.plan_cache.release(key)
         obs.observe_stages(self.label, result.times.times,
                            declare=GPU_STAGE_ORDER)
         obs.record_run(self.label, result.total_time)

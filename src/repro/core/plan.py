@@ -25,7 +25,9 @@ frame:
 
 :class:`PlanCache` is a thread-safe LRU keyed on :class:`PlanKey`; its
 hit/miss counters surface through the metrics registry as
-``repro_plan_cache_requests_total{outcome=...}``.
+``repro_plan_cache_requests_total{outcome=...}``.  Capture is
+single-flight: of the workers that ask for a cold key at once, one gets the
+miss and runs the generic path, the others wait for its plan.
 """
 
 from __future__ import annotations
@@ -184,7 +186,13 @@ class ExecutionPlan:
 
 
 class PlanCache:
-    """Thread-safe LRU cache of :class:`ExecutionPlan` by :class:`PlanKey`."""
+    """Thread-safe LRU cache of :class:`ExecutionPlan` by :class:`PlanKey`.
+
+    A miss makes the caller the key's *capturer*: until it calls
+    :meth:`put` (or :meth:`release`, when its capture failed), every other
+    :meth:`get` of that key waits for the plan instead of capturing a
+    duplicate.
+    """
 
     def __init__(self, maxsize: int = 32) -> None:
         from ..errors import ConfigError
@@ -194,20 +202,32 @@ class PlanCache:
                               f"got {maxsize}")
         self.maxsize = maxsize
         self._plans: OrderedDict[PlanKey, ExecutionPlan] = OrderedDict()
+        #: One event per key whose capture is in flight.
+        self._capturing: dict[PlanKey, threading.Event] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
     def get(self, key: PlanKey) -> ExecutionPlan | None:
-        """Look up a plan; counts a hit or a miss."""
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
-                self.misses += 1
-                return None
-            self._plans.move_to_end(key)
-            self.hits += 1
-            return plan
+        """Look up a plan; counts a hit or a miss.
+
+        ``None`` (a miss) means the caller must capture the plan and then
+        :meth:`put` or :meth:`release` the key.  While another caller
+        captures, this waits outside the lock for its plan.
+        """
+        while True:
+            with self._lock:
+                plan = self._plans.get(key)
+                if plan is not None:
+                    self._plans.move_to_end(key)
+                    self.hits += 1
+                    return plan
+                capture = self._capturing.get(key)
+                if capture is None:
+                    self._capturing[key] = threading.Event()
+                    self.misses += 1
+                    return None
+            capture.wait()
 
     def put(self, key: PlanKey, plan: ExecutionPlan) -> None:
         with self._lock:
@@ -215,6 +235,15 @@ class PlanCache:
             self._plans.move_to_end(key)
             while len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
+            self.release(key)
+
+    def release(self, key: PlanKey) -> None:
+        """End ``key``'s capture, waking its waiters; a no-op when none is
+        in flight.  After a failed capture one waiter takes it over."""
+        with self._lock:
+            capture = self._capturing.pop(key, None)
+        if capture is not None:
+            capture.set()
 
     def clear(self) -> None:
         with self._lock:

@@ -1,31 +1,24 @@
-"""Frame-stream processing: the paper's real-time TV/camera use case.
+"""Per-frame statistics of a frame stream: the paper's TV/camera use case.
 
-:class:`StreamProcessor` runs a sharpness pipeline over a sequence of
-frames and aggregates throughput statistics.  It also models the natural
+:class:`FrameStats` decomposes one pipeline result into its PCI-E,
+device and host shares (the Fig. 13(c) breakdown) and models the natural
 next optimization the paper's pipeline enables but does not implement:
 **copy/compute overlap** (double buffering).  With two sets of device
 buffers and an out-of-order queue, frame N's PCI-E transfers can hide under
 frame N-1's kernels, so the steady-state frame time is
 ``max(transfer_time, device_time) + host_time`` instead of their sum.
 
-The overlap model is derived from the same per-event timeline the in-order
-pipeline produces, so its speedup is exactly the transfer share the
-Fig. 13(c) breakdown reports.
+A stream is a :class:`~repro.core.batch.BatchEngine` run; the exact
+pipelined schedule of its frames is
+:func:`repro.core.dag.overlap_stream` over their timelines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..errors import ValidationError
-from ..obs.runctx import NULL_CONTEXT, RunContext
-from ..simgpu.profiling import Timeline
-from .dag import overlap_stream
-from ..types import Image, SharpnessParams
-from .config import OPTIMIZED, OptimizationFlags
-from .pipeline import GPUPipeline, GPUResult
+from .pipeline import GPUResult
 
 
 def default_frame_id(index: int) -> str:
@@ -45,7 +38,7 @@ class FrameStats:
     ``backend`` says who produced the frame (``"gpu"``, ``"cpu-fallback"``
     when the resilience layer degraded, ``"failed"`` for an isolated
     per-frame failure); ``error``/``attempts`` carry the failure message
-    and the number of execution attempts the frame took.  ``frame_id`` is
+    and the number of times the frame was dispatched.  ``frame_id`` is
     the frame's *stable* identity (input file name, content hash, or the
     positional :func:`default_frame_id`) — checkpoints and journals key on
     it so a resumed job survives reordered or renamed inputs.
@@ -67,63 +60,6 @@ class FrameStats:
         return self.error is None
 
 
-@dataclass
-class StreamResult:
-    """Aggregate result of a stream run."""
-
-    frames: list[FrameStats] = field(default_factory=list)
-    overlap: bool = False
-    outputs: list[np.ndarray] = field(default_factory=list)
-    #: Exact resource-scheduled timeline across all frames (DMA / compute /
-    #: host engines overlap); its makespan refines the per-frame analytic
-    #: overlap estimate.
-    pipelined_timeline: Timeline | None = None
-
-    @property
-    def n_frames(self) -> int:
-        return len(self.frames)
-
-    @property
-    def total_time(self) -> float:
-        if self.overlap:
-            if self.pipelined_timeline is not None:
-                return self.pipelined_timeline.total
-            return sum(f.overlapped_time for f in self.frames)
-        return sum(f.serial_time for f in self.frames)
-
-    @property
-    def mean_frame_time(self) -> float:
-        if not self.frames:
-            raise ValidationError("stream produced no frames")
-        return self.total_time / self.n_frames
-
-    @property
-    def fps(self) -> float:
-        return 1.0 / self.mean_frame_time
-
-    def sustains(self, target_fps: float) -> bool:
-        """Can this configuration hold ``target_fps`` in steady state?"""
-        if target_fps <= 0:
-            raise ValidationError(
-                f"target_fps must be > 0, got {target_fps}"
-            )
-        return self.fps >= target_fps
-
-    @property
-    def transfer_share(self) -> float:
-        """Fraction of serial time spent on PCI-E (the overlap headroom)."""
-        total = sum(f.serial_time for f in self.frames)
-        if total <= 0:
-            return 0.0
-        return sum(f.transfer_time for f in self.frames) / total
-
-
-def _overlapped_frame_time(transfer: float, device: float,
-                           host: float) -> float:
-    """Steady-state frame time with double-buffered transfers."""
-    return max(transfer, device) + host
-
-
 def resolve_frame_id(frame_ids, index: int, frame) -> str:
     """Resolve one frame's stable id from a ``frame_ids`` argument.
 
@@ -134,6 +70,10 @@ def resolve_frame_id(frame_ids, index: int, frame) -> str:
         return default_frame_id(index)
     if callable(frame_ids):
         return str(frame_ids(index, frame))
+    if index >= len(frame_ids):
+        raise ValidationError(
+            f"frame {index} has no id: frame_ids holds {len(frame_ids)}"
+        )
     return str(frame_ids[index])
 
 
@@ -147,7 +87,7 @@ def frame_stats(index: int, result: GPUResult,
     return FrameStats(
         index=index,
         serial_time=result.total_time,
-        overlapped_time=_overlapped_frame_time(transfer, device, host),
+        overlapped_time=max(transfer, device) + host,
         transfer_time=transfer,
         device_time=device,
         host_time=host,
@@ -155,100 +95,3 @@ def frame_stats(index: int, result: GPUResult,
         attempts=attempts,
         frame_id=frame_id or default_frame_id(index),
     )
-
-
-class StreamProcessor:
-    """Run a sharpness pipeline over a frame sequence.
-
-    Parameters
-    ----------
-    flags / params / device / cpu:
-        Forwarded to :class:`~repro.core.pipeline.GPUPipeline`.
-    overlap_transfers:
-        Model double-buffered copy/compute overlap (see module docstring).
-    keep_outputs:
-        Retain every sharpened frame on the result (memory-heavy for long
-        streams).
-    obs:
-        Optional :class:`~repro.obs.RunContext`, forwarded to the
-        underlying :class:`~repro.core.pipeline.GPUPipeline`, so stream
-        runs show up in logs/metrics/traces like single-frame runs do; the
-        stream itself contributes a ``stream.run`` span, a
-        ``repro_stream_fps`` gauge and a completion log record.
-    pipeline:
-        Reuse an existing pipeline (plan cache and buffer pool included)
-        instead of building one; ``flags``/``params``/``device``/``cpu``
-        are ignored when given.
-    resilience:
-        Optional :class:`~repro.resilience.ResilienceConfig`.  When given,
-        the stream's pipeline is wrapped in a
-        :class:`~repro.resilience.FallbackPipeline`: transient faults are
-        retried, a tripped breaker routes frames to the CPU pipeline, and
-        degraded frames show up as ``FrameStats.backend ==
-        "cpu-fallback"``.
-    """
-
-    def __init__(self, flags: OptimizationFlags = OPTIMIZED,
-                 params: SharpnessParams | None = None, *,
-                 device=None, cpu=None, overlap_transfers: bool = False,
-                 keep_outputs: bool = False,
-                 obs: RunContext | None = None,
-                 pipeline: GPUPipeline | None = None,
-                 resilience=None) -> None:
-        self.obs = obs or NULL_CONTEXT
-        if pipeline is not None:
-            self.pipeline = pipeline
-        else:
-            kwargs = {}
-            if device is not None:
-                kwargs["device"] = device
-            if cpu is not None:
-                kwargs["cpu"] = cpu
-            self.pipeline = GPUPipeline(flags, params, obs=obs, **kwargs)
-        if resilience is not None:
-            from ..resilience.fallback import FallbackPipeline
-            if not isinstance(self.pipeline, FallbackPipeline):
-                self.pipeline = FallbackPipeline(
-                    self.pipeline, resilience, obs=self.obs)
-        self.overlap_transfers = overlap_transfers
-        self.keep_outputs = keep_outputs
-
-    def _frame_stats(self, index: int, result: GPUResult) -> FrameStats:
-        return frame_stats(index, result)
-
-    def run(self, frames, *, frame_ids=None) -> StreamResult:
-        """Process ``frames`` (arrays or :class:`~repro.types.Image`).
-
-        ``frame_ids`` optionally names each frame durably (a sequence
-        aligned with ``frames`` or a ``callable(index, frame) -> str``);
-        omitted, frames get positional :func:`default_frame_id` ids.
-        """
-        obs = self.obs
-        result = StreamResult(overlap=self.overlap_transfers)
-        timelines: list[Timeline] = []
-        with obs.trace.span("stream.run", overlap=self.overlap_transfers):
-            for index, frame in enumerate(frames):
-                if not isinstance(frame, Image):
-                    frame = Image.from_array(np.asarray(frame))
-                fid = resolve_frame_id(frame_ids, index, frame)
-                res = self.pipeline.run(frame)
-                result.frames.append(frame_stats(index, res, frame_id=fid))
-                timelines.append(res.timeline)
-                if self.keep_outputs:
-                    result.outputs.append(res.final)
-            if not result.frames:
-                raise ValidationError("empty frame sequence")
-            if self.overlap_transfers:
-                result.pipelined_timeline = overlap_stream(timelines)
-        if obs.enabled:
-            obs.metrics.gauge(
-                "repro_stream_fps",
-                "Simulated steady-state frames per second of the last "
-                "stream run",
-            ).set(result.fps)
-            obs.log.info(
-                "stream.complete", frames=result.n_frames,
-                simulated_fps=result.fps,
-                overlap=self.overlap_transfers,
-            )
-        return result

@@ -21,8 +21,9 @@ fallback target.  :class:`FallbackPipeline` wraps a
 
 The wrapper returns the same :class:`~repro.core.pipeline.GPUResult` shape
 either way (fallback results carry a host-only timeline built from the CPU
-cost model), so :class:`~repro.core.stream.StreamProcessor` and
-:class:`~repro.core.batch.BatchEngine` consume it unchanged.
+cost model), so :class:`~repro.core.batch.BatchEngine` consumes it
+unchanged.  Its :meth:`FallbackPipeline.run` is the one retry layer for GPU
+faults: the engine calls it once per frame and never retries it.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ starts when its dependencies have finished *and* its resource is free.
 :func:`pipelined_schedule` applies it to a sequence of recorded per-frame
 timelines: each frame keeps its internal (data-dependent) order, frames
 compete for resources — so frame N's transfers hide under frame N-1's
-kernels exactly as with double buffering.  Used by
-:class:`repro.core.stream.StreamProcessor`.
+kernels exactly as with double buffering.
+:func:`repro.core.dag.overlap_stream` goes further by also exploiting each
+frame's intra-frame stage slack.
 """
 
 from __future__ import annotations

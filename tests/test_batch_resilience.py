@@ -2,11 +2,14 @@
 
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.core import BatchEngine, FrameFailure, OPTIMIZED
+from repro.core import BatchEngine, FrameFailure, GPUPipeline, OPTIMIZED
 from repro.cpu import CPUPipeline
 from repro.errors import ConfigError, WorkerCrashError
 from repro.obs import RunContext
@@ -158,3 +161,99 @@ class TestValidation:
             source=lambda: iter(frames10))
         assert result.n_frames == 10
         assert result.ok
+
+
+def counting_gpu_runs(monkeypatch):
+    """Count ``GPUPipeline.run`` calls per frame (keyed on the Image)."""
+    calls = Counter()
+    run = GPUPipeline.run
+
+    def counted(self, image):
+        calls[id(image)] += 1
+        return run(self, image)
+
+    monkeypatch.setattr(GPUPipeline, "run", counted)
+    return calls
+
+
+def retries(obs, outcome="retried"):
+    counter = obs.metrics.get("repro_retries_total")
+    if counter is None:
+        return 0
+    return sum(c.value for c in counter.children
+               if c.labels["outcome"] == outcome)
+
+
+class TestOneRetryLayer:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=st.sampled_from(["transfer", "kernel", "worker"]),
+           rate=st.sampled_from([0.1, 0.5, 1.0]),
+           kind=st.sampled_from(["transient", "permanent"]),
+           max_attempts=st.integers(1, 4),
+           budget=st.none() | st.integers(0, 4),
+           fallback=st.booleans(),
+           seed=st.integers(0, 99))
+    def test_attempts_and_budget_are_bounded(self, frames10, monkeypatch,
+                                             site, rate, kind, max_attempts,
+                                             budget, fallback, seed):
+        plan = FaultPlan.parse(f"{site}:rate={rate},kind={kind};seed={seed}")
+        obs = quiet_obs(faults=plan)
+        cfg = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=max_attempts, base_delay=0.0),
+            retry_budget=budget, fallback=fallback)
+        with monkeypatch.context() as patch:
+            calls = counting_gpu_runs(patch)
+            result = BatchEngine(OPTIMIZED, workers=1, obs=obs,
+                                 resilience=cfg).run(frames10[:3])
+        assert result.n_frames == 3
+        assert max(calls.values(), default=0) <= max_attempts
+        assert all(f.attempts <= max_attempts for f in result.frames)
+        if budget is not None:
+            assert retries(obs) <= budget
+
+    def test_timed_out_frame_is_not_retried_from_outside(self, monkeypatch):
+        """A GPU deadline (transient) used to be re-dispatched by the
+        engine around the wrapper's own retries: 2 x 3 GPU attempts."""
+        frame = Image.from_array(images.natural_like(32, 32, seed=2))
+        plan = FaultPlan.parse("transfer:rate=1.0,kind=transient;seed=0")
+        cfg = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.2, max_delay=0.2,
+                              jitter=0),
+            timeout_s=0.3, fallback=False)
+        calls = counting_gpu_runs(monkeypatch)
+        result = BatchEngine(OPTIMIZED, workers=1, obs=quiet_obs(plan),
+                             resilience=cfg).run([frame])
+        assert calls[id(frame)] <= 3
+        assert [d.error_type for d in result.dead_letters] == [
+            "FrameTimeoutError"]
+        assert result.frames[0].attempts == 1
+
+    def test_worker_redispatch_spends_the_shared_budget(self, frames10):
+        plan = FaultPlan.parse("worker:rate=1.0,kind=transient;seed=0")
+        obs = quiet_obs(faults=plan)
+        cfg = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=4, base_delay=0.0),
+            retry_budget=1)
+        result = BatchEngine(OPTIMIZED, workers=1, obs=obs,
+                             resilience=cfg).run(frames10[:2])
+        # Frame 0 retries once, draining the budget; frame 1 cannot retry.
+        assert [f.attempts for f in result.frames] == [2, 1]
+        assert retries(obs) == 1
+        assert retries(obs, "budget") == 2
+
+    def test_exhausted_worker_crash_is_dead_lettered(self, frames10,
+                                                     monkeypatch):
+        plan = FaultPlan.parse("worker:rate=1.0,kind=transient;seed=0")
+        cfg = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0))
+        calls = counting_gpu_runs(monkeypatch)
+        result = BatchEngine(OPTIMIZED, workers=1, obs=quiet_obs(plan),
+                             resilience=cfg).run(frames10[:1])
+        # Never served by the CPU fallback: the frame never reached a
+        # pipeline.
+        assert not calls
+        assert result.backends() == {"failed": 1}
+        letter, = result.dead_letters
+        assert letter.error_type == "RetryExhaustedError"
+        assert letter.attempts == 3
