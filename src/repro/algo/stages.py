@@ -9,7 +9,9 @@ functional face of every simulated-GPU kernel and the cached
 :meth:`~repro.core.plan.ExecutionPlan.execute` all call them.  All
 functions take and return ``float64`` arrays and none of them mutates its
 inputs.  Each writes into the ``out=`` and scratch arrays it is given and
-allocates the ones that are omitted.
+allocates the ones that are omitted.  Scratch may have more rows than a
+call needs (the strip executor sizes it for its longest strip); the
+leading rows are used.
 """
 
 from __future__ import annotations
@@ -86,8 +88,15 @@ def _check_plane(src: np.ndarray, name: str = "src") -> np.ndarray:
 
 def _buffer(arr: np.ndarray | None, shape: tuple[int, ...],
             dtype: npt.DTypeLike = FLOAT) -> np.ndarray:
-    """``arr`` (caller-provided scratch/output) or a fresh empty array."""
+    """``arr`` (a caller-provided output) or a fresh empty array."""
     return np.empty(shape, dtype=dtype) if arr is None else arr
+
+
+def _scratch(arr: np.ndarray | None, shape: tuple[int, ...],
+             dtype: npt.DTypeLike = FLOAT) -> np.ndarray:
+    """The leading ``shape[0]`` rows of caller-provided scratch ``arr``, or
+    a fresh empty array."""
+    return np.empty(shape, dtype=dtype) if arr is None else arr[: shape[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +115,7 @@ def downscale(src: np.ndarray, *, out: np.ndarray | None = None,
     """
     arr = _check_plane(src)
     h, w = arr.shape
-    colsum = _buffer(colsum, (h, w // SCALE))
+    colsum = _scratch(colsum, (h, w // SCALE))
     np.add(arr[:, 0::SCALE], arr[:, 1::SCALE], out=colsum)
     for k in range(2, SCALE):
         np.add(colsum, arr[:, k::SCALE], out=colsum)
@@ -168,7 +177,7 @@ def upscale_body(down: np.ndarray, *, out: np.ndarray | None = None,
             f"downscaled matrix must be 2-D with sides >= 2, got {d.shape}"
         )
     n, m = d.shape
-    rows = _buffer(rows, (SCALE * (n - 1), m))
+    rows = _scratch(rows, (SCALE * (n - 1), m))
     for k in range(SCALE):
         wl, wr = UPSCALE_P[k]
         np.add(wl * d[:-1], wr * d[1:], out=rows[k::SCALE])
@@ -177,6 +186,44 @@ def upscale_body(down: np.ndarray, *, out: np.ndarray | None = None,
         wl, wr = UPSCALE_P[k]
         np.add(wl * rows[:, :-1], wr * rows[:, 1:], out=out[:, k::SCALE])
     return out
+
+
+def upscale_border_lines(
+    down: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four upscaled border lines of Fig. 3, from the downscaled plane:
+    first and last row (length W), first and last column (length H)."""
+    d = np.asarray(down, dtype=FLOAT)
+    nr, nc = d.shape
+    h, w = SCALE * nr, SCALE * nc
+    return (upscale_border_line(d[0], w), upscale_border_line(d[nr - 1], w),
+            upscale_border_line(d[:, 0], h),
+            upscale_border_line(d[:, nc - 1], h))
+
+
+def upscale_border_rows(
+    up: np.ndarray, y0: int,
+    lines: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+) -> None:
+    """Write the border cells of frame rows ``[y0, y0 + len(up))`` into
+    ``up`` (those rows of the upscaled plane) in place.
+
+    ``lines`` is :func:`upscale_border_lines` of the frame.  The cells are
+    written in the canonical order of :func:`upscale_border_apply`; step 5
+    writes ``coll[H-3]``, the value step 4 left at ``up[H-3, W-1]``.
+    """
+    row0, rowl, col0, coll = lines
+    h, w = col0.shape[0], row0.shape[0]
+    y1 = y0 + up.shape[0]
+    for y, line in ((0, row0), (1, row0), (h - 2, rowl), (h - 1, rowl)):
+        if y0 <= y < y1:
+            up[y - y0] = line
+    up[:, 0] = col0[y0:y1]
+    up[:, 1] = col0[y0:y1]
+    up[:, w - 2] = coll[y0:y1]
+    up[:, w - 1] = coll[y0:y1]
+    if y1 > h - 2:
+        up[max(h - 2 - y0, 0) :, w - 2 :] = coll[h - 3]
 
 
 def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
@@ -198,28 +245,12 @@ def upscale_border_apply(up: np.ndarray, down: np.ndarray) -> None:
     parallel without a cross-workgroup ordering hazard.
     """
     d = np.asarray(down, dtype=FLOAT)
-    nr, nc = d.shape
-    h, w = SCALE * nr, SCALE * nc
-    if up.shape != (h, w):
+    if up.shape != (SCALE * d.shape[0], SCALE * d.shape[1]):
         raise ValidationError(
             f"upscaled buffer shape {up.shape} does not match {SCALE}x "
             f"the downscaled shape {d.shape}"
         )
-    row0 = upscale_border_line(d[0], w)
-    up[0] = row0
-    up[1] = row0
-    rowl = upscale_border_line(d[nr - 1], w)
-    up[h - 2] = rowl
-    up[h - 1] = rowl
-
-    col0 = upscale_border_line(d[:, 0], h)
-    up[:, 0] = col0
-    up[:, 1] = col0
-    coll = upscale_border_line(d[:, nc - 1], h)
-    up[:, w - 2] = coll
-    up[:, w - 1] = coll
-
-    up[h - 2 :, w - 2 :] = up[h - 3, w - 1]
+    upscale_border_rows(up, 0, upscale_border_lines(d))
 
 
 def upscale(down: np.ndarray, *, out: np.ndarray | None = None,
@@ -268,24 +299,45 @@ def sobel(src: np.ndarray, *, out: np.ndarray | None = None,
     one-pixel border ring of ``out`` is written as zero on every call.
     """
     arr = _check_plane(src)
-    h, w = arr.shape
-    out = _buffer(out, (h, w))
-    body = out[1 : h - 1, 1 : w - 1]
-    tcol = _buffer(tcol, (h - 2, w))
-    np.multiply(arr[1 : h - 1], 2.0, out=tcol)
-    np.add(arr[0 : h - 2], tcol, out=tcol)
-    np.add(tcol, arr[2:h], out=tcol)
+    return sobel_rows(arr, 0, arr.shape[0], out=out, tcol=tcol, urow=urow,
+                      gy=gy)
+
+
+def sobel_rows(src: np.ndarray, y0: int, y1: int, *,
+               out: np.ndarray | None = None,
+               tcol: np.ndarray | None = None,
+               urow: np.ndarray | None = None,
+               gy: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``[y0, y1)`` of :func:`sobel` of the float64 plane ``src``,
+    written into ``out`` (shape ``(y1 - y0, W)``), zero ring cells included.
+
+    Reads ``src`` rows ``y0 - 1`` to ``y1`` (a 1-row halo, clipped to the
+    frame).  With ``n`` body rows in range, the scratch needs ``n``
+    (``tcol``, ``gy``) and ``n + 2`` (``urow``) rows.
+    """
+    h, w = src.shape
+    out = _buffer(out, (y1 - y0, w))
+    b0, b1 = max(y0, 1), min(y1, h - 1)
+    n = b1 - b0
+    body = out[b0 - y0 : b1 - y0, 1 : w - 1]
+    tcol = _scratch(tcol, (n, w))
+    np.multiply(src[b0:b1], 2.0, out=tcol)
+    np.add(src[b0 - 1 : b1 - 1], tcol, out=tcol)
+    np.add(tcol, src[b0 + 1 : b1 + 1], out=tcol)
     np.subtract(tcol[:, 2:], tcol[:, :-2], out=body)
-    urow = _buffer(urow, (h, w - 2))
-    np.multiply(arr[:, 1 : w - 1], 2.0, out=urow)
-    np.add(arr[:, 0 : w - 2], urow, out=urow)
-    np.add(urow, arr[:, 2:w], out=urow)
-    gy = np.subtract(urow[2:], urow[:-2], out=_buffer(gy, (h - 2, w - 2)))
+    halo = src[b0 - 1 : b1 + 1]
+    urow = _scratch(urow, (n + 2, w - 2))
+    np.multiply(halo[:, 1 : w - 1], 2.0, out=urow)
+    np.add(halo[:, 0 : w - 2], urow, out=urow)
+    np.add(urow, halo[:, 2:w], out=urow)
+    gy = np.subtract(urow[2:], urow[:-2], out=_scratch(gy, (n, w - 2)))
     np.abs(body, out=body)
     np.abs(gy, out=gy)
     np.add(body, gy, out=body)
-    out[0] = 0.0
-    out[h - 1] = 0.0
+    if y0 == 0:
+        out[0] = 0.0
+    if y1 == h:
+        out[-1] = 0.0
     out[:, 0] = 0.0
     out[:, w - 1] = 0.0
     return out
@@ -374,7 +426,7 @@ def neighborhood_minmax(
     """
     arr = np.asarray(src, dtype=FLOAT)
     h, w = arr.shape
-    cols = _buffer(cols, (h, w - 2))
+    cols = _scratch(cols, (h, w - 2))
     mn, mx = out if out is not None else (
         np.empty((h - 2, w - 2), dtype=FLOAT),
         np.empty((h - 2, w - 2), dtype=FLOAT),
@@ -412,19 +464,40 @@ def overshoot_control(
         raise ValidationError(
             f"shape mismatch: preliminary {p.shape} vs original {o.shape}"
         )
-    h, w = p.shape
-    mn, mx = bounds if bounds is not None else neighborhood_minmax(o)
-    final = np.clip(p, 0.0, 255.0, out=_buffer(out, (h, w)))
-    body = p[1 : h - 1, 1 : w - 1]
-    mask = _buffer(mask, (h - 2, w - 2), dtype=bool)
+    if bounds is None:
+        bounds = neighborhood_minmax(o)
+    return overshoot_rows(p, 0, params, out=out, bounds=bounds, mask=mask)
+
+
+def overshoot_rows(
+    preliminary: np.ndarray, y0: int, params: SharpnessParams, *,
+    bounds: tuple[np.ndarray, np.ndarray], out: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rows ``[y0, y0 + n)`` of :func:`overshoot_control`, written into
+    ``out`` (shape ``(n, W)``).
+
+    ``preliminary`` holds those ``n`` rows of the preliminary matrix and
+    ``bounds`` the 3x3 min/max of the body rows among them: the rows other
+    than the frame's first and last, which are border rows.  ``mask`` is
+    bool scratch of as many rows as ``bounds``.
+    """
+    p = preliminary
+    n, w = p.shape
+    mn, mx = bounds
+    top = 1 if y0 == 0 else 0
+    nb = mn.shape[0]
+    final = np.clip(p, 0.0, 255.0, out=_buffer(out, (n, w)))
+    body = p[top : top + nb, 1 : w - 1]
+    mask = _scratch(mask, (nb, w - 2), dtype=bool)
     osc = FLOAT(params.overshoot)
     for above, bound in ((True, mx), (False, mn)):
         (np.greater if above else np.less)(body, bound, out=mask)
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             continue
-        # body index (r, c) -> plane index (r + 1, c + 1), flattened
-        flat = idx + 2 * (idx // (w - 2)) + w + 1
+        # body index (r, c) -> row index (r + top, c + 1), flattened
+        flat = idx + 2 * (idx // (w - 2)) + top * w + 1
         bv = np.take(p, flat)
         lv = np.take(bound, idx)
         if above:

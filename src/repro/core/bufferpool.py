@@ -2,12 +2,13 @@
 
 A :class:`Workspace` bundles every array a plan's executor
 (:meth:`~repro.core.plan.ExecutionPlan.execute`) writes into for one frame
-shape: the pipeline's own planes (downscaled, upscaled, pEdge, the
-sharpness tail) and the scratch of the separable stages.  Checking one
-out, running a frame, and checking it back in allocates nothing.  A
-workspace is recycled dirty: every stage of :mod:`repro.algo.stages`
-writes each cell before it reads it (Sobel re-zeros its own border ring),
-so no frame can leak into the next.
+shape: the two planes that outlive a row strip (downscaled and pEdge) and
+strip-sized scratch for everything else.  Checking one out, running a
+frame, and checking it back in allocates nothing.  A workspace is recycled
+dirty: every strip writes each scratch cell before it reads it, and reads
+halo rows only from the input plane, ``down`` or ``edge``, never from a
+previous strip's scratch (Sobel re-zeros its own border ring), so neither
+a frame nor a strip can leak into the next.
 
 :class:`BufferPool` keeps at most ``max_entries`` idle workspaces per
 shape.  Checkouts beyond the bound still succeed (a fresh workspace is
@@ -15,9 +16,11 @@ built) but the surplus is dropped at check-in, so a burst never grows the
 steady-state footprint.  All operations are thread-safe: the batch
 engine's workers share one pool.
 
-Memory note: one 512x512 float64 workspace is ~23 MB; at 4096x4096 it is
-~1.5 GB, so size ``max_entries`` (and the batch worker count) to the frame
-resolution.
+Memory note: a workspace holds two full float64 planes (``edge`` at
+``8 * H * W`` bytes, ``down`` at 1/16 of that) plus about 5 MiB of strip
+scratch: 7.0 MiB at 512x512, 39.2 MiB at 2048x2048 and 141.5 MiB at
+4096x4096.  Size ``max_entries`` (and the batch worker count) to the
+frame resolution.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..types import FLOAT
+from .plan import strip_rows
 
 
 class Workspace:
@@ -40,25 +44,33 @@ class Workspace:
                 f"got {h}x{w}"
             )
         self.h, self.w = h, w
-        hd, wd = h // 4, w // 4
-        # The pipeline's planes, zero-initialized like the device buffers
-        # of the generic path.
-        self.down = np.zeros((hd, wd), dtype=FLOAT)
-        self.up = np.zeros((h, w), dtype=FLOAT)
+        #: Rows per strip of :meth:`~repro.core.plan.ExecutionPlan.execute`.
+        self.strip = strip = strip_rows(h, w)
+        # The two planes that outlive a strip: the downscaled plane, which
+        # the upscale of every strip reads, and pEdge, whose mean is a
+        # barrier between the sweeps.  Zero-initialized like the device
+        # buffers of the generic path.
+        self.down = np.zeros((h // 4, w // 4), dtype=FLOAT)
         self.edge = np.zeros((h, w), dtype=FLOAT)
-        self.err = np.empty((h, w), dtype=FLOAT)
-        self.strength = np.empty((h, w), dtype=FLOAT)
-        self.prelim = np.empty((h, w), dtype=FLOAT)
-        # Scratch of the separable stages, named after their parameters.
-        self.colsum = np.empty((h, wd), dtype=FLOAT)
-        self.rows = np.empty((4 * (hd - 1), wd), dtype=FLOAT)
-        self.tcol = np.empty((h - 2, w), dtype=FLOAT)
-        self.urow = np.empty((h, w - 2), dtype=FLOAT)
-        self.gy = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.cols = np.empty((h, w - 2), dtype=FLOAT)
-        self.mn = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.mx = np.empty((h - 2, w - 2), dtype=FLOAT)
-        self.mask = np.empty((h - 2, w - 2), dtype=bool)
+        # Sweep A scratch (downscale, Sobel), named after the parameters of
+        # the stages it feeds.
+        self.colsum = np.empty((strip, w // 4), dtype=FLOAT)
+        self.tcol = np.empty((strip, w), dtype=FLOAT)
+        self.urow = np.empty((strip + 2, w - 2), dtype=FLOAT)
+        self.gy = np.empty((strip, w - 2), dtype=FLOAT)
+        # Sweep B scratch (upscale to overshoot).  Its strips are shifted
+        # by the body's 2-row offset and the first and last carry the
+        # frame's 2-row border, so one strip holds up to ``strip + 4`` rows
+        # (when it is the whole frame).
+        n = min(strip + 4, h)
+        self.up = np.empty((n, w), dtype=FLOAT)
+        self.err = np.empty((n, w), dtype=FLOAT)
+        self.strength = np.empty((n, w), dtype=FLOAT)
+        self.rows = np.empty((n - 4, w // 4), dtype=FLOAT)
+        self.cols = np.empty((n, w - 2), dtype=FLOAT)
+        self.mn = np.empty((n - 2, w - 2), dtype=FLOAT)
+        self.mx = np.empty((n - 2, w - 2), dtype=FLOAT)
+        self.mask = np.empty((n - 2, w - 2), dtype=bool)
 
     @property
     def nbytes(self) -> int:

@@ -42,8 +42,20 @@ from ..algo import stages as algo
 from ..kernels.reduction import group_sums
 from ..simgpu.device import CPUSpec, DeviceSpec
 from ..simgpu.profiling import Timeline
-from ..types import SharpnessParams, StageTimes
+from ..types import FLOAT, SharpnessParams, StageTimes
 from .config import OptimizationFlags
+
+#: Pixel budget of one row strip of :meth:`ExecutionPlan.execute`: a
+#: float64 strip plane is 512 KB, so a strip's working planes stay in one
+#: core's L2.
+STRIP_PIXELS = 1 << 16
+
+
+def strip_rows(h: int, w: int) -> int:
+    """Rows per strip of an ``h x w`` frame: a multiple of 4 (whole
+    downscale blocks) near ``STRIP_PIXELS / w``, at least 4, at most ``h``.
+    """
+    return min(max(4, 4 * (STRIP_PIXELS // w // 4)), h)
 
 
 @dataclass(frozen=True)
@@ -162,26 +174,56 @@ class ExecutionPlan:
         and the sparse overshoot blend's index arrays.
 
         ``ws`` is a :class:`~repro.core.bufferpool.Workspace` of matching
-        shape.  The border lines are built on the host whatever their
-        placement: both placements produce identical values, and the
-        placement only shapes the (already captured) timeline.
+        shape.  The frame runs in two sweeps over row strips of
+        ``ws.strip`` rows, so each strip's planes stay in cache:
+
+        * sweep A downscales into ``ws.down`` and runs Sobel (1-row halo)
+          into ``ws.edge``; the edge mean then sums the whole pEdge plane
+          over the captured reduction chain, exactly as the generic run;
+        * sweep B runs upscale to overshoot on strips whose boundaries sit
+          at rows 2 mod 4, so each strip's upscale body comes from whole
+          downscaled rows, and writes them into the returned plane.
+
+        The border lines are built on the host whatever their placement:
+        both placements produce identical values, and the placement only
+        shapes the (already captured) timeline.
         """
-        down = algo.downscale(plane, out=ws.down, colsum=ws.colsum)
-        up = algo.upscale(down, out=ws.up, rows=ws.rows)
-        edge = algo.sobel(plane, out=ws.edge, tcol=ws.tcol, urow=ws.urow,
-                          gy=ws.gy)
+        h, w = plane.shape
+        strip, down, edge = ws.strip, ws.down, ws.edge
+        for y0 in range(0, h, strip):
+            y1 = min(y0 + strip, h)
+            algo.downscale(plane[y0:y1], out=down[y0 // 4 : y1 // 4],
+                           colsum=ws.colsum)
+            algo.sobel_rows(plane, y0, y1, out=edge[y0:y1], tcol=ws.tcol,
+                            urow=ws.urow, gy=ws.gy)
         partials = edge.ravel()
         for count, n_groups in self.reduction_levels:
             partials = group_sums(partials, count, n_groups)
         edge_mean = algo.reduce_sum(partials) / edge.size
-        err = algo.perror(plane, up, out=ws.err)
-        strength = algo.strength_map(edge, edge_mean, params,
-                                     out=ws.strength)
-        prelim = algo.preliminary_sharpen(up, err, strength, out=ws.prelim)
-        bounds = algo.neighborhood_minmax(plane, out=(ws.mn, ws.mx),
-                                          cols=ws.cols)
-        final = algo.overshoot_control(prelim, plane, params, bounds=bounds,
-                                       mask=ws.mask)
+
+        lines = algo.upscale_border_lines(down)
+        final = np.empty((h, w), dtype=FLOAT)
+        cuts = [0, *range(strip + 2, h - 2, strip), h]
+        for y0, y1 in zip(cuts, cuts[1:]):
+            n = y1 - y0
+            q0, q1 = (max(y0, 2) - 2) // 4, (min(y1, h - 2) - 2) // 4
+            top = 2 if y0 == 0 else 0
+            up = ws.up[:n]
+            algo.upscale_body(down[q0 : q1 + 1],
+                              out=up[top : top + 4 * (q1 - q0), 2 : w - 2],
+                              rows=ws.rows)
+            algo.upscale_border_rows(up, y0, lines)
+            err = algo.perror(plane[y0:y1], up, out=ws.err[:n])
+            strength = algo.strength_map(edge[y0:y1], edge_mean, params,
+                                         out=ws.strength[:n])
+            # Elementwise, so the preliminary matrix can overwrite pError.
+            prelim = algo.preliminary_sharpen(up, err, strength, out=err)
+            b0, b1 = max(y0, 1), min(y1, h - 1)
+            minmax = algo.neighborhood_minmax(
+                plane[b0 - 1 : b1 + 1],
+                out=(ws.mn[: b1 - b0], ws.mx[: b1 - b0]), cols=ws.cols)
+            algo.overshoot_rows(prelim, y0, params, out=final[y0:y1],
+                                bounds=minmax, mask=ws.mask)
         return final, edge_mean
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BufferPool, GPUPipeline, OPTIMIZED, Workspace
+from repro.core import BufferPool, GPUPipeline, OPTIMIZED, Workspace, plan
 from repro.core.plan import ExecutionPlan
 from repro.errors import ConfigError
 from repro.types import Image
@@ -82,15 +82,23 @@ class TestBufferPool:
 
 
 class TestPoolHygiene:
-    """A recycled (dirty) workspace must never leak one frame into the
-    next: every stage writes each cell before reading it, and Sobel
-    re-zeros the pEdge border ring itself."""
+    """A recycled (dirty) workspace must never leak one frame, or one
+    strip, into the next: every strip writes each scratch cell before
+    reading it, and Sobel re-zeros the pEdge border ring itself."""
 
-    def test_poisoned_workspace_produces_identical_frames(self):
+    # One strip; strips of 12, 12, 12 and 4 rows; 4-row strips.
+    @pytest.mark.parametrize("shape, strip_pixels, strip", [
+        ((32, 32), plan.STRIP_PIXELS, 32),
+        ((40, 32), 384, 12),
+        ((32, 32), 1, 4),
+    ], ids=["one-strip", "remainder", "4-row"])
+    def test_poisoned_workspace_produces_identical_frames(
+            self, monkeypatch, shape, strip_pixels, strip):
+        monkeypatch.setattr(plan, "STRIP_PIXELS", strip_pixels)
         frames = [Image.from_array(f)
-                  for f in images.video_sequence(32, 32, 2, seed=5)]
-        pipe = GPUPipeline(OPTIMIZED)
-        ref = [pipe.run(f).final for f in frames]  # miss + clean hit
+                  for f in images.video_sequence(*shape, 2, seed=5)]
+        generic = GPUPipeline(OPTIMIZED, caching=False)
+        ref = [generic.run(f).final for f in frames]
 
         poisoned = GPUPipeline(OPTIMIZED)
         poisoned.run(frames[0])  # capture the plan (generic path)
@@ -98,6 +106,7 @@ class TestPoolHygiene:
         assert poisoned.buffer_pool.stats()["idle"] == 1
         for ws_list in poisoned.buffer_pool._idle.values():
             for ws in ws_list:
+                assert ws.strip == strip
                 arrays = [a for a in vars(ws).values()
                           if isinstance(a, np.ndarray)]
                 assert sum(a.nbytes for a in arrays) == ws.nbytes

@@ -8,18 +8,20 @@ wider than 4096):
 * a stage gives the same array whether it allocates or writes into
   caller-provided (dirty) ``out=``/scratch arrays, and matches the scalar
   oracle ``repro.cpu.naive``;
-* planned and generic ``GPUPipeline`` runs are bit-identical;
+* planned and generic ``GPUPipeline`` runs are bit-identical, whether
+  the planned frame runs in one row strip or many;
 * ``BatchEngine`` with one or two workers returns what one pipeline does;
 * the GPU path and ``CPUPipeline`` (the resilience fallback) agree in
   ``final_u8``.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algo import stages as algo
-from repro.core import BASE, OPTIMIZED, BatchEngine, GPUPipeline
+from repro.core import BASE, OPTIMIZED, BatchEngine, GPUPipeline, plan
 from repro.cpu import CPUPipeline, naive
 from repro.types import Image, SharpnessParams
 
@@ -108,10 +110,20 @@ class TestStageFunctions:
 
 
 class TestPipelinesAgree:
+    # The default strip budget, one that leaves a shorter last strip, and
+    # one that gives 4-row strips; (72, 4100) is 6 strips of 12 rows at the
+    # default and (56, 48) strips of 20, 20 and 16 rows at 1000.
+    @pytest.mark.parametrize("strip_pixels", [plan.STRIP_PIXELS, 1000, 1],
+                             ids=["default", "remainder", "4-row"])
     @given(shapes(), seeds, params_strategy)
     @example((24, 4100), 7, SharpnessParams())
-    @settings(max_examples=10, deadline=None)
-    def test_planned_equals_generic(self, shape, seed, params):
+    @example((72, 4100), 7, SharpnessParams())
+    @example((56, 48), 7, SharpnessParams(gamma=0.7))
+    @settings(max_examples=10, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    def test_planned_equals_generic(self, monkeypatch, strip_pixels, shape,
+                                    seed, params):
+        monkeypatch.setattr(plan, "STRIP_PIXELS", strip_pixels)
         image = Image.from_array(_plane(shape, seed))
         for flags in (OPTIMIZED, BASE):
             generic = GPUPipeline(flags, params, caching=False).run(image)
