@@ -10,8 +10,10 @@ back **in submission order** regardless of completion order, one
 copy/compute-overlapped schedule is
 :func:`repro.core.dag.overlap_stream` over the frames' timelines.  The
 pool never oversubscribes the host: the effective thread count is
-``min(workers, os.cpu_count())``, because the per-frame work is
-compute-bound and extra threads only buy context switches.
+``min(workers, LANES)``, the cores the process may run on
+(:func:`repro.core.plan.usable_cores`, which honours ``taskset`` and
+cpuset limits), because the per-frame work is compute-bound and extra
+threads only buy context switches.
 
 All workers share one :class:`~repro.core.plan.PlanCache` and one
 :class:`~repro.core.bufferpool.BufferPool`, so the first frame of a shape
@@ -34,7 +36,6 @@ Throughput telemetry lands in the shared registry:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -54,7 +55,7 @@ from ..types import Image, SharpnessParams
 from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
 from .pipeline import GPUPipeline
-from .plan import PlanCache
+from .plan import LANES, PlanCache
 from .stream import FrameStats, frame_stats, resolve_frame_id
 
 FRAMES_FAILED = "repro_frames_failed_total"
@@ -186,10 +187,12 @@ class BatchEngine:
         :class:`~repro.core.pipeline.GPUPipeline`.
     workers:
         Requested worker thread count (default 4).  The pool is actually
-        sized to ``min(workers, os.cpu_count())``: the frame work is
-        compute-bound (NumPy ufuncs), so oversubscribing the cores only
-        adds context-switch and cache thrash — measured ~25% slower on a
-        single-core host.  ``effective_workers`` exposes the applied size.
+        sized to ``min(workers, plan.LANES)``, the cores the process may
+        run on (its CPU affinity set, not ``os.cpu_count()``): the frame
+        work is compute-bound (NumPy ufuncs), so oversubscribing the cores
+        only adds context-switch and cache thrash — measured ~25% slower
+        on a single-core host.  ``effective_workers`` exposes the applied
+        size.
     queue_depth:
         Maximum in-flight frames (submitted but not yet collected);
         defaults to ``2 * workers``.  This is the backpressure bound — it
@@ -251,7 +254,7 @@ class BatchEngine:
                 f"timeout must be > 0 seconds, got {timeout}"
             )
         self.workers = workers
-        self.effective_workers = min(workers, os.cpu_count() or workers)
+        self.effective_workers = min(workers, LANES)
         self.queue_depth = (queue_depth if queue_depth is not None
                             else 2 * workers)
         if self.queue_depth < workers:

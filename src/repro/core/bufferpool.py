@@ -3,12 +3,15 @@
 A :class:`Workspace` bundles every array a plan's executor
 (:meth:`~repro.core.plan.ExecutionPlan.execute`) writes into for one frame
 shape: the two planes that outlive a row strip (downscaled and pEdge) and
-strip-sized scratch for everything else.  Checking one out, running a
-frame, and checking it back in allocates nothing.  A workspace is recycled
-dirty: every strip writes each scratch cell before it reads it, and reads
-halo rows only from the input plane, ``down`` or ``edge``, never from a
+one set of strip-sized scratch for everything else per lane of a sweep
+(:class:`LaneScratch`).  Checking one out, running a frame, and checking
+it back in allocates nothing.  A workspace is recycled dirty: every strip
+writes each scratch cell of its lane before it reads it, and reads halo
+rows only from the input plane, ``down`` or ``edge``, never from a
 previous strip's scratch (Sobel re-zeros its own border ring), so neither
-a frame nor a strip can leak into the next.
+a frame nor a strip can leak into the next, whichever lane ran it.  The
+executor returns only after every lane has stopped, so no helper writes
+into a workspace that has been checked back in.
 
 :class:`BufferPool` keeps at most ``max_entries`` idle workspaces per
 shape.  Checkouts beyond the bound still succeed (a fresh workspace is
@@ -17,10 +20,11 @@ steady-state footprint.  All operations are thread-safe: the batch
 engine's workers share one pool.
 
 Memory note: a workspace holds two full float64 planes (``edge`` at
-``8 * H * W`` bytes, ``down`` at 1/16 of that) plus about 5 MiB of strip
-scratch: 7.0 MiB at 512x512, 39.2 MiB at 2048x2048 and 141.5 MiB at
-4096x4096.  Size ``max_entries`` (and the batch worker count) to the
-frame resolution.
+``8 * H * W`` bytes, ``down`` at 1/16 of that) plus one strip scratch set
+per lane (``plan.LANES``, the usable cores): 4.9 MiB a lane at 512x512,
+5.2 MiB at 2048x2048 and 5.5 MiB at 4096x4096.  With two lanes that is
+11.9, 44.3 and 147.0 MiB in all.  Size ``max_entries`` (and the batch
+worker count) to the frame resolution.
 """
 
 from __future__ import annotations
@@ -31,7 +35,38 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..types import FLOAT
-from .plan import strip_rows
+from . import plan
+
+
+def _array_bytes(obj) -> int:
+    return sum(a.nbytes for a in vars(obj).values()
+               if isinstance(a, np.ndarray))
+
+
+class LaneScratch:
+    """Strip-sized scratch for one lane of
+    :meth:`~repro.core.plan.ExecutionPlan.execute`, named after the
+    parameters of the stages it feeds."""
+
+    def __init__(self, h: int, w: int, strip: int) -> None:
+        # Sweep A (downscale, Sobel).
+        self.colsum = np.empty((strip, w // 4), dtype=FLOAT)
+        self.tcol = np.empty((strip, w), dtype=FLOAT)
+        self.urow = np.empty((strip + 2, w - 2), dtype=FLOAT)
+        self.gy = np.empty((strip, w - 2), dtype=FLOAT)
+        # Sweep B (upscale to overshoot).  Its strips are shifted by the
+        # body's 2-row offset and the first and last carry the frame's
+        # 2-row border, so one strip holds up to ``strip + 4`` rows (when
+        # it is the whole frame).
+        n = min(strip + 4, h)
+        self.up = np.empty((n, w), dtype=FLOAT)
+        self.err = np.empty((n, w), dtype=FLOAT)
+        self.strength = np.empty((n, w), dtype=FLOAT)
+        self.rows = np.empty((n - 4, w // 4), dtype=FLOAT)
+        self.cols = np.empty((n, w - 2), dtype=FLOAT)
+        self.mn = np.empty((n - 2, w - 2), dtype=FLOAT)
+        self.mx = np.empty((n - 2, w - 2), dtype=FLOAT)
+        self.mask = np.empty((n - 2, w - 2), dtype=bool)
 
 
 class Workspace:
@@ -45,38 +80,21 @@ class Workspace:
             )
         self.h, self.w = h, w
         #: Rows per strip of :meth:`~repro.core.plan.ExecutionPlan.execute`.
-        self.strip = strip = strip_rows(h, w)
+        self.strip = strip = plan.strip_rows(h, w)
         # The two planes that outlive a strip: the downscaled plane, which
         # the upscale of every strip reads, and pEdge, whose mean is a
         # barrier between the sweeps.  Zero-initialized like the device
         # buffers of the generic path.
         self.down = np.zeros((h // 4, w // 4), dtype=FLOAT)
         self.edge = np.zeros((h, w), dtype=FLOAT)
-        # Sweep A scratch (downscale, Sobel), named after the parameters of
-        # the stages it feeds.
-        self.colsum = np.empty((strip, w // 4), dtype=FLOAT)
-        self.tcol = np.empty((strip, w), dtype=FLOAT)
-        self.urow = np.empty((strip + 2, w - 2), dtype=FLOAT)
-        self.gy = np.empty((strip, w - 2), dtype=FLOAT)
-        # Sweep B scratch (upscale to overshoot).  Its strips are shifted
-        # by the body's 2-row offset and the first and last carry the
-        # frame's 2-row border, so one strip holds up to ``strip + 4`` rows
-        # (when it is the whole frame).
-        n = min(strip + 4, h)
-        self.up = np.empty((n, w), dtype=FLOAT)
-        self.err = np.empty((n, w), dtype=FLOAT)
-        self.strength = np.empty((n, w), dtype=FLOAT)
-        self.rows = np.empty((n - 4, w // 4), dtype=FLOAT)
-        self.cols = np.empty((n, w - 2), dtype=FLOAT)
-        self.mn = np.empty((n - 2, w - 2), dtype=FLOAT)
-        self.mx = np.empty((n - 2, w - 2), dtype=FLOAT)
-        self.mask = np.empty((n - 2, w - 2), dtype=bool)
+        #: One strip scratch set per lane of a sweep.
+        self.lanes = tuple(LaneScratch(h, w, strip)
+                           for _ in range(plan.LANES))
 
     @property
     def nbytes(self) -> int:
-        """Total scratch footprint in bytes."""
-        return sum(a.nbytes for a in vars(self).values()
-                   if isinstance(a, np.ndarray))
+        """Total scratch footprint in bytes, every lane included."""
+        return _array_bytes(self) + sum(_array_bytes(s) for s in self.lanes)
 
 
 class BufferPool:

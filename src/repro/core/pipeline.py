@@ -45,7 +45,7 @@ from .bufferpool import BufferPool
 from .config import OPTIMIZED, OptimizationFlags
 from .fusion import build_kernel_set
 from .metrics import GPU_STAGE_ORDER, stage_times_from_timeline
-from .plan import ExecutionPlan, PlanCache, PlanKey
+from .plan import LOAD, ExecutionPlan, PlanCache, PlanKey
 from .transfer import TransferPlanner
 
 #: Workgroup tile for 2-D pixel kernels (16x16 = 256 = the W8000 limit).
@@ -173,6 +173,11 @@ class GPUPipeline:
     # -- main entry -----------------------------------------------------------
 
     def run(self, image: Image | np.ndarray) -> GPUResult:
+        # The whole run holds a core; see plan.FrameLoad.
+        with LOAD:
+            return self._run(image)
+
+    def _run(self, image: Image | np.ndarray) -> GPUResult:
         if not isinstance(image, Image):
             image = Image.from_array(np.asarray(image))
         obs = self.obs

@@ -28,12 +28,17 @@ hit/miss counters surface through the metrics registry as
 ``repro_plan_cache_requests_total{outcome=...}``.  Capture is
 single-flight: of the workers that ask for a cold key at once, one gets the
 miss and runs the generic path, the others wait for its plan.
+
+The executor runs each sweep's row strips on the calling thread plus one
+helper lane per core no frame is using (:data:`LANES`, :data:`LOAD`).
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import Counter, OrderedDict
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +61,115 @@ def strip_rows(h: int, w: int) -> int:
     downscale blocks) near ``STRIP_PIXELS / w``, at least 4, at most ``h``.
     """
     return min(max(4, 4 * (STRIP_PIXELS // w // 4)), h)
+
+
+def strip_bounds(h: int, strip: int, shift: int) -> list[tuple[int, int]]:
+    """``(y0, y1)`` row ranges of one sweep: cuts every ``strip`` rows,
+    offset by ``shift`` (the first strip is ``strip + shift`` rows), with
+    the last cut at least ``shift + 1`` rows from the bottom."""
+    cuts = [0, *range(strip + shift, h - shift, strip), h]
+    return list(zip(cuts, cuts[1:]))
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the OS
+    reports one (so ``taskset`` and cpuset limits count), else
+    ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: Lanes of a sweep: the calling thread plus at most ``LANES - 1`` helpers.
+LANES = usable_cores()
+
+
+class FrameLoad:
+    """Process-wide count of frames inside
+    :meth:`~repro.core.pipeline.GPUPipeline.run` (a context manager).
+
+    The whole run counts, not only :meth:`ExecutionPlan.execute`: a batch
+    worker between two executor calls still holds its core, so lending
+    that core to another frame's strips slows both.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.in_flight = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            self.in_flight += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self.in_flight -= 1
+
+
+LOAD = FrameLoad()
+
+_helpers: ThreadPoolExecutor | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The strip helper threads, ``LANES - 1`` of them, made on first use
+    (never on a 1-core host: a 1-lane sweep submits nothing)."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(max_workers=LANES - 1,
+                                          thread_name_prefix="repro-strip")
+        return _helpers
+
+
+class _Sweep:
+    """The strips of one sweep and the lock-guarded cursor its lanes
+    claim them from, one at a time; records the first lane error."""
+
+    def __init__(self, bounds: list[tuple[int, int]], lanes) -> None:
+        self.bounds = bounds
+        #: One scratch set per lane; ``lanes[0]`` is the calling thread's.
+        self.lanes = lanes
+        self.next = 0
+        self.error: BaseException | None = None
+        self._lock = threading.Lock()
+
+    def _claim(self, helper: bool) -> tuple[int, int] | None:
+        with self._lock:
+            if (self.error is not None or self.next == len(self.bounds)
+                    or (helper and LOAD.in_flight >= len(self.lanes))):
+                return None
+            self.next += 1
+            return self.bounds[self.next - 1]
+
+    def drain(self, body, scratch, helper: bool = False) -> None:
+        """Run ``body(y0, y1, scratch)`` on claimed strips until none is
+        left, a lane has failed, or (for a helper) every core has a frame.
+        """
+        try:
+            while (rows := self._claim(helper)) is not None:
+                body(*rows, scratch)
+        except BaseException as exc:  # repro: ignore[PL-BROAD-EXCEPT] re-raised by run()
+            with self._lock:
+                if self.error is None:
+                    self.error = exc
+
+    def run(self, body) -> None:
+        """Drain the sweep on the calling thread plus one helper per idle
+        core, each lane with its own scratch; return only after every
+        helper has stopped, re-raising the first lane error.
+        """
+        n_help = min(len(self.lanes) - LOAD.in_flight, len(self.bounds) - 1)
+        futures = [_helper_pool().submit(self.drain, body, self.lanes[k],
+                                         True)
+                   for k in range(1, n_help + 1)]
+        self.drain(body, self.lanes[0])
+        for future in futures:
+            future.cancel()  # a helper that never started has nothing to do
+        wait(futures)
+        if self.error is not None:
+            raise self.error
 
 
 @dataclass(frozen=True)
@@ -184,18 +298,26 @@ class ExecutionPlan:
           at rows 2 mod 4, so each strip's upscale body comes from whole
           downscaled rows, and writes them into the returned plane.
 
+        Each sweep's strips run on up to ``len(ws.lanes)`` lanes, one
+        scratch set each (see :class:`_Sweep`).  A strip writes only its
+        own rows of ``down``, ``edge`` and the output, so the lane count
+        and claim order cannot change a bit; the reduction and the border
+        lines run on the calling thread between the sweeps.
+
         The border lines are built on the host whatever their placement:
         both placements produce identical values, and the placement only
         shapes the (already captured) timeline.
         """
         h, w = plane.shape
-        strip, down, edge = ws.strip, ws.down, ws.edge
-        for y0 in range(0, h, strip):
-            y1 = min(y0 + strip, h)
+        down, edge, lanes = ws.down, ws.edge, ws.lanes
+
+        def sweep_a(y0: int, y1: int, s) -> None:
             algo.downscale(plane[y0:y1], out=down[y0 // 4 : y1 // 4],
-                           colsum=ws.colsum)
-            algo.sobel_rows(plane, y0, y1, out=edge[y0:y1], tcol=ws.tcol,
-                            urow=ws.urow, gy=ws.gy)
+                           colsum=s.colsum)
+            algo.sobel_rows(plane, y0, y1, out=edge[y0:y1], tcol=s.tcol,
+                            urow=s.urow, gy=s.gy)
+
+        _Sweep(strip_bounds(h, ws.strip, 0), lanes).run(sweep_a)
         partials = edge.ravel()
         for count, n_groups in self.reduction_levels:
             partials = group_sums(partials, count, n_groups)
@@ -203,27 +325,29 @@ class ExecutionPlan:
 
         lines = algo.upscale_border_lines(down)
         final = np.empty((h, w), dtype=FLOAT)
-        cuts = [0, *range(strip + 2, h - 2, strip), h]
-        for y0, y1 in zip(cuts, cuts[1:]):
+
+        def sweep_b(y0: int, y1: int, s) -> None:
             n = y1 - y0
             q0, q1 = (max(y0, 2) - 2) // 4, (min(y1, h - 2) - 2) // 4
             top = 2 if y0 == 0 else 0
-            up = ws.up[:n]
+            up = s.up[:n]
             algo.upscale_body(down[q0 : q1 + 1],
                               out=up[top : top + 4 * (q1 - q0), 2 : w - 2],
-                              rows=ws.rows)
+                              rows=s.rows)
             algo.upscale_border_rows(up, y0, lines)
-            err = algo.perror(plane[y0:y1], up, out=ws.err[:n])
+            err = algo.perror(plane[y0:y1], up, out=s.err[:n])
             strength = algo.strength_map(edge[y0:y1], edge_mean, params,
-                                         out=ws.strength[:n])
+                                         out=s.strength[:n])
             # Elementwise, so the preliminary matrix can overwrite pError.
             prelim = algo.preliminary_sharpen(up, err, strength, out=err)
             b0, b1 = max(y0, 1), min(y1, h - 1)
             minmax = algo.neighborhood_minmax(
                 plane[b0 - 1 : b1 + 1],
-                out=(ws.mn[: b1 - b0], ws.mx[: b1 - b0]), cols=ws.cols)
+                out=(s.mn[: b1 - b0], s.mx[: b1 - b0]), cols=s.cols)
             algo.overshoot_rows(prelim, y0, params, out=final[y0:y1],
-                                bounds=minmax, mask=ws.mask)
+                                bounds=minmax, mask=s.mask)
+
+        _Sweep(strip_bounds(h, ws.strip, 2), lanes).run(sweep_b)
         return final, edge_mean
 
 

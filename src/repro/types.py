@@ -11,6 +11,7 @@ overshoot-control tuning factor).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,9 +59,10 @@ def validate_plane(array: np.ndarray) -> np.ndarray:
             f"image sides must be divisible by {SCALE}, got {h}x{w}"
         )
     out = arr.astype(FLOAT, copy=True)
-    if np.isnan(out).any():
-        raise ValidationError("image contains NaN values")
     lo, hi = float(out.min()), float(out.max())
+    # min() and max() return NaN when the plane holds one.
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValidationError("image contains NaN values")
     if lo < 0.0 or hi > 255.0:
         raise ValidationError(
             f"pixel values must lie in [0, 255], got range [{lo}, {hi}]"

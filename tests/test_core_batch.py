@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.core import BatchEngine, GPUPipeline, OPTIMIZED
+from repro.core import BatchEngine, GPUPipeline, OPTIMIZED, plan
 from repro.errors import ConfigError, ValidationError
 from repro.obs import RunContext
 from repro.types import Image
@@ -81,7 +81,7 @@ class TestBatchEngine:
 
     def test_effective_workers_bounded_by_host(self):
         engine = BatchEngine(OPTIMIZED, workers=64)
-        assert 1 <= engine.effective_workers <= 64
+        assert engine.effective_workers == min(64, plan.usable_cores())
         assert engine.workers == 64
 
 

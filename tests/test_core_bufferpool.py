@@ -83,8 +83,9 @@ class TestBufferPool:
 
 class TestPoolHygiene:
     """A recycled (dirty) workspace must never leak one frame, or one
-    strip, into the next: every strip writes each scratch cell before
-    reading it, and Sobel re-zeros the pEdge border ring itself."""
+    strip, into the next: every strip writes each scratch cell of its
+    lane before reading it, and Sobel re-zeros the pEdge border ring
+    itself."""
 
     # One strip; strips of 12, 12, 12 and 4 rows; 4-row strips.
     @pytest.mark.parametrize("shape, strip_pixels, strip", [
@@ -107,7 +108,9 @@ class TestPoolHygiene:
         for ws_list in poisoned.buffer_pool._idle.values():
             for ws in ws_list:
                 assert ws.strip == strip
-                arrays = [a for a in vars(ws).values()
+                assert len(ws.lanes) == plan.LANES
+                arrays = [a for part in (ws, *ws.lanes)
+                          for a in vars(part).values()
                           if isinstance(a, np.ndarray)]
                 assert sum(a.nbytes for a in arrays) == ws.nbytes
                 for a in arrays:

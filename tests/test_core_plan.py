@@ -2,10 +2,14 @@
 
 import dataclasses
 import io
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.algo import stages as algo
 from repro.core import (
     BASE,
     LADDER,
@@ -13,6 +17,7 @@ from repro.core import (
     GPUPipeline,
     PlanCache,
     PlanKey,
+    plan,
 )
 from repro.errors import ConfigError
 from repro.obs import RunContext
@@ -204,3 +209,99 @@ class TestPlanObservability:
         # A cached second run must double every queue-level total.
         for key, value in lines_once.items():
             assert lines_twice[key] == 2 * value, key
+
+
+class TestStripLanes:
+    @pytest.fixture
+    def two_lanes(self, monkeypatch, frames):
+        """A warm pipeline whose 64x64 frames run in 16 four-row strips
+        on two lanes."""
+        monkeypatch.setattr(plan, "LANES", 2)
+        monkeypatch.setattr(plan, "STRIP_PIXELS", 1)
+        pipe = GPUPipeline(OPTIMIZED)
+        pipe.run(frames[0])  # capture the plan (generic path)
+        return pipe, pipe.run(frames[0]).final
+
+    def test_failing_helper_lane_raises_after_every_lane_stops(
+            self, monkeypatch, frames, two_lanes):
+        pipe, expected = two_lanes
+        overshoot = algo.overshoot_rows
+        helper_claimed = threading.Event()
+        writes = []
+
+        def flaky(*args, **kwargs):
+            if not threading.current_thread().name.startswith("repro-strip"):
+                helper_claimed.wait(timeout=10)
+                overshoot(*args, **kwargs)
+                writes.append(time.perf_counter())
+                return
+            helper_claimed.set()
+            time.sleep(0.2)  # the calling lane drains every other strip
+            overshoot(*args, **kwargs)
+            writes.append(time.perf_counter())
+            raise RuntimeError("helper lane failed")
+
+        monkeypatch.setattr(algo, "overshoot_rows", flaky)
+        with pytest.raises(RuntimeError, match="helper lane failed"):
+            pipe.run(frames[0])
+        raised = time.perf_counter()
+        time.sleep(0.3)
+        assert len(writes) == 15 and max(writes) < raised
+        assert pipe.buffer_pool.stats()["in_use"] == 0
+        assert plan.LOAD.in_flight == 0
+        # The failed frame's workspace went back dirty; the next is clean.
+        monkeypatch.setattr(algo, "overshoot_rows", overshoot)
+        assert np.array_equal(pipe.run(frames[0]).final, expected)
+
+    def test_busy_cores_lend_no_helper(self, monkeypatch, frames, two_lanes):
+        pipe, expected = two_lanes
+        downscale = algo.downscale
+        threads = set()
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            time.sleep(0.005)  # time enough for a helper to claim a strip
+            return downscale(*args, **kwargs)
+
+        monkeypatch.setattr(algo, "downscale", recorded)
+        with plan.LOAD:  # another frame holds the second core
+            final = pipe.run(frames[0]).final
+        assert threads == {threading.current_thread().name}
+        assert np.array_equal(final, expected)
+
+    def test_more_frame_threads_than_cores(self, frames, two_lanes):
+        pipe, expected = two_lanes
+        same, errors = [], []
+
+        def caller():
+            own = GPUPipeline(OPTIMIZED, plan_cache=pipe.plan_cache,
+                              buffer_pool=pipe.buffer_pool)
+            try:
+                for _ in range(5):
+                    same.append(np.array_equal(own.run(frames[0]).final,
+                                               expected))
+            except Exception as exc:  # reported by the asserts below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and same == [True] * 20
+        assert plan.LOAD.in_flight == 0
+        assert pipe.buffer_pool.stats()["in_use"] == 0
+
+    def test_usable_cores_follows_affinity(self, monkeypatch):
+        monkeypatch.setattr(plan.os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert plan.usable_cores() == 1
+        monkeypatch.delattr(plan.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(plan.os, "cpu_count", lambda: None)
+        assert plan.usable_cores() == 1

@@ -9,11 +9,14 @@ wider than 4096):
   caller-provided (dirty) ``out=``/scratch arrays, and matches the scalar
   oracle ``repro.cpu.naive``;
 * planned and generic ``GPUPipeline`` runs are bit-identical, whether
-  the planned frame runs in one row strip or many;
+  the planned frame runs in one row strip or many, on one lane or two;
 * ``BatchEngine`` with one or two workers returns what one pipeline does;
 * the GPU path and ``CPUPipeline`` (the resilience fallback) agree in
   ``final_u8``.
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -52,6 +55,27 @@ def _plane(shape, seed):
 
 def _dirty(shape, dtype=np.float64):
     return np.full(shape, True if dtype == bool else np.nan, dtype=dtype)
+
+
+def _helper_claims_first(monkeypatch):
+    """Hold the calling lane of every multi-strip sweep until a helper
+    lane has claimed a strip, so a two-lane run really splits its strips;
+    returns the thread-name prefixes of the lanes that claimed one."""
+    claimers = set()
+    claim = plan._Sweep._claim
+
+    def patched(sweep, helper):
+        if not helper and len(sweep.lanes) > 1 and len(sweep.bounds) > 1:
+            deadline = time.monotonic() + 10
+            while sweep.next == 0 and time.monotonic() < deadline:
+                time.sleep(1e-4)
+        rows = claim(sweep, helper)
+        if rows is not None:
+            claimers.add(threading.current_thread().name.split("_")[0])
+        return rows
+
+    monkeypatch.setattr(plan._Sweep, "_claim", patched)
+    return claimers
 
 
 def _stage_runs(plane, params, *, scratch):
@@ -111,19 +135,28 @@ class TestStageFunctions:
 
 class TestPipelinesAgree:
     # The default strip budget, one that leaves a shorter last strip, and
-    # one that gives 4-row strips; (72, 4100) is 6 strips of 12 rows at the
-    # default and (56, 48) strips of 20, 20 and 16 rows at 1000.
-    @pytest.mark.parametrize("strip_pixels", [plan.STRIP_PIXELS, 1000, 1],
-                             ids=["default", "remainder", "4-row"])
+    # one that gives 4-row strips, each on one lane and on two; (72, 4100)
+    # is 6 strips of 12 rows at the default and (56, 48) strips of 20, 20
+    # and 16 rows at 1000.
+    @pytest.mark.parametrize("strip_pixels, lanes", [
+        pytest.param(plan.STRIP_PIXELS, 1, id="default"),
+        pytest.param(1000, 1, id="remainder"),
+        pytest.param(1, 1, id="4-row"),
+        pytest.param(plan.STRIP_PIXELS, 2, id="default-2-lanes"),
+        pytest.param(1000, 2, id="remainder-2-lanes"),
+        pytest.param(1, 2, id="4-row-2-lanes"),
+    ])
     @given(shapes(), seeds, params_strategy)
     @example((24, 4100), 7, SharpnessParams())
     @example((72, 4100), 7, SharpnessParams())
     @example((56, 48), 7, SharpnessParams(gamma=0.7))
     @settings(max_examples=10, deadline=None, suppress_health_check=[
         HealthCheck.function_scoped_fixture])
-    def test_planned_equals_generic(self, monkeypatch, strip_pixels, shape,
-                                    seed, params):
+    def test_planned_equals_generic(self, monkeypatch, strip_pixels, lanes,
+                                    shape, seed, params):
         monkeypatch.setattr(plan, "STRIP_PIXELS", strip_pixels)
+        monkeypatch.setattr(plan, "LANES", lanes)
+        claimers = _helper_claims_first(monkeypatch)
         image = Image.from_array(_plane(shape, seed))
         for flags in (OPTIMIZED, BASE):
             generic = GPUPipeline(flags, params, caching=False).run(image)
@@ -133,6 +166,8 @@ class TestPipelinesAgree:
             assert planned_pipe.plan_cache.stats()["hits"] == 1
             assert np.array_equal(planned.final, generic.final)
             assert planned.edge_mean == generic.edge_mean
+        strips = len(plan.strip_bounds(shape[0], plan.strip_rows(*shape), 0))
+        assert ("repro-strip" in claimers) == (lanes == 2 and strips > 1)
 
     @given(shapes(), seeds)
     @example((24, 4100), 7)

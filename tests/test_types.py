@@ -54,10 +54,15 @@ class TestValidatePlane:
             validate_plane(plane)
 
     def test_rejects_nan(self):
-        plane = np.zeros((16, 16))
-        plane[0, 0] = np.nan
-        with pytest.raises(ValidationError, match="NaN"):
-            validate_plane(plane)
+        # At the origin, at the far corner, and beside an out-of-range
+        # value (NaN wins: min() and max() are both NaN).
+        for cells in ({(0, 0): np.nan}, {(15, 15): np.nan},
+                      {(0, 0): np.nan, (5, 5): 300.0}):
+            plane = np.zeros((16, 16))
+            for cell, value in cells.items():
+                plane[cell] = value
+            with pytest.raises(ValidationError, match="NaN"):
+                validate_plane(plane)
 
     def test_accepts_uint8_input(self):
         out = validate_plane(np.full((16, 16), 255, dtype=np.uint8))
